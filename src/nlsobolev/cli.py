@@ -46,7 +46,6 @@ from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
 from . import experiments, functions, gamma_limit, kernels
 from .evaluator import FunctionalParams, lambda_pair, lambda_polar
-from .experiments import INF_TOKEN
 
 _SUBCOMMANDS = ("validate-kernel", "eval", "sweep", "pathology",
                 "step-divergence", "kappa", "cross-check")
@@ -185,12 +184,15 @@ def build_function(cfg: dict, d: int) -> functions.TestFunction:
         if path is None:
             raise ConfigError("grid functions need 'function.grid_file'")
         fmt = cfg.get("function.grid_format", "csv")
-        if fmt == "csv":
-            values = np.loadtxt(path, delimiter=",")
-        elif fmt == "float64":
-            values = np.fromfile(path, dtype=np.float64)
-        else:
+        if fmt not in ("csv", "float64"):
             raise ConfigError(f"unknown function.grid_format {fmt!r}")
+        try:
+            if fmt == "csv":
+                values = np.loadtxt(path, delimiter=",")
+            else:
+                values = np.fromfile(path, dtype=np.float64)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read grid file {path!r}: {exc}") from exc
         spacing = _get_float(cfg, "function.grid_spacing")
         origin = _get_list(cfg, "function.grid_origin", [0.0] * values.ndim)
         flavor = cfg.get("domain.flavor", "bounded")
@@ -229,8 +231,7 @@ def _write_single_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([tok if isinstance(tok, str) else
-                        (experiments.CSV_DIGITS % tok if math.isfinite(tok) else INF_TOKEN)
+            w.writerow([tok if isinstance(tok, str) else experiments.format_cell(tok)
                         for tok in row])
 
 
@@ -391,11 +392,11 @@ def _run_cross_check(cfg, args) -> int:
                           allow_bounded=_get_bool(cfg, "polar.allow_bounded"))
         ref = max(pr.value, po.value, np.finfo(float).eps)
         gap = abs(pr.value - po.value)
-        allowed = pr.tail_bound + po.tail_bound + budget * ref
-        rows.append([delta, pr.value, po.value, pr.tail_bound + po.tail_bound,
-                     gap / ref])
+        tail = pr.tail_bound + po.tail_bound
+        rows.append([delta, pr.value, po.value, tail, gap / ref])
         worst = max(worst, gap / ref)
-        ok = ok and gap <= allowed
+        # an infinite certificate would allow any gap, so it cannot pass
+        ok = ok and math.isfinite(tail) and gap <= tail + budget * ref
     _write_single_csv(args.out + ".csv",
                       ["delta", "pair_value", "polar_value", "combined_tail",
                        "rel_gap"], rows)
@@ -427,15 +428,16 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", default="run", help="output path prefix")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="overrides the config's seed (default: config seed, else 0)")
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
     try:
         cfg = parse_config(args.config)
-        if "seed" in cfg and args.seed == 0:
-            args.seed = _get_int(cfg, "seed")
+        if args.seed is None:
+            args.seed = _get_int(cfg, "seed", 0)
         status = _RUNNERS[args.subcommand](cfg, args)
     except (ConfigError, ParameterError, ResolutionError, ContractError,
             DomainError, KernelValidationError) as exc:

@@ -98,7 +98,8 @@ class EvalResult:
 def sample_midpoints(f: TestFunction, n: int):
     """Cell midpoints of the integration window, u sampled there.
 
-    Returns (u, spacings): u is (n,) in 1-D or (n, n) in 2-D.
+    Returns (u, spacings): u is (n,) in 1-D or (n, n) in 2-D.  Raises
+    ParameterError on a non-finite sample, which no certificate covers.
     """
     dom = f.domain
     lo, hi = dom.window_lo, dom.window_hi
@@ -112,7 +113,10 @@ def sample_midpoints(f: TestFunction, n: int):
     else:
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         u = _values_at(f, np.stack([X, Y], axis=-1))
-    return np.asarray(u, dtype=float), tuple(spac)
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ParameterError("function samples must be finite")
+    return u, tuple(spac)
 
 
 def _tree_sum(parts: list[float]) -> float:

@@ -44,6 +44,7 @@ __all__ = [
     "write_sweep_csv",
     "write_growth_csv",
     "write_meta",
+    "format_cell",
 ]
 
 CSV_DIGITS = "%.17g"
@@ -237,7 +238,8 @@ def step_divergence(p: float, delta: float, n_list, threads: int = 1) -> GrowthR
 # artifacts
 # ----------------------------------------------------------------------
 
-def _fmt(x) -> str:
+def format_cell(x) -> str:
+    """One numeric CSV cell: 17 significant digits, non-finite or None as INF_TOKEN."""
     if x is None or not math.isfinite(x):
         return INF_TOKEN
     return CSV_DIGITS % x
@@ -248,8 +250,8 @@ def write_sweep_csv(report: SweepReport, path):
         w = csv.writer(fh)
         w.writerow(["delta", "value", "tail_bound", "energy", "ratio"])
         for r in report.rows:
-            w.writerow([_fmt(r.delta), _fmt(r.value), _fmt(r.tail_bound),
-                        _fmt(r.energy), _fmt(r.ratio)])
+            w.writerow([format_cell(x)
+                        for x in (r.delta, r.value, r.tail_bound, r.energy, r.ratio)])
 
 
 def write_growth_csv(report: GrowthReport, path):
@@ -257,7 +259,7 @@ def write_growth_csv(report: GrowthReport, path):
         w = csv.writer(fh)
         w.writerow(["n", "value", "ratio"])
         for r in report.rows:
-            w.writerow([str(r.n), _fmt(r.value), _fmt(r.ratio)])
+            w.writerow([str(r.n), format_cell(r.value), format_cell(r.ratio)])
 
 
 def write_meta(metadata: dict, path):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError
 
@@ -196,6 +195,8 @@ def grid_function(values, origin, spacing: float, flavor: str = "bounded",
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2):
         raise ParameterError("grid values must be 1-D or 2-D")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("grid values must be finite")
     if min(values.shape) < 2:
         raise ParameterError("need at least two nodes per axis")
     if spacing <= 0:
@@ -353,6 +354,8 @@ def sobolev_energy(f: TestFunction, p: float) -> float:
     if f.kind == "cube-profile":
         return dom.volume
     if f.kind == "sine":
+        from scipy.integrate import quad  # no closed form for arbitrary lo, hi
+
         w = 2 * np.pi * f.frequency
         amp = abs(f.amplitude) * w
         lo, hi = dom.lo[0], dom.hi[0]

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError
 from .evaluator import pair_sum_on_samples, sample_midpoints
-from .experiments import SweepReport, delta_sweep
-from .functions import TestFunction, cube_profile, sobolev_energy
+from .experiments import SweepReport, _require_resolution, delta_sweep
+from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _shape_values
 
 __all__ = [
@@ -163,16 +163,10 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     kappa_hat <= baseline up to round-off.
     """
     profile = _default_profile(prob)
+    _require_resolution(profile, prob.grid_n, prob.delta)
     u_ref, spac = sample_midpoints(profile, prob.grid_n)
-    h_max = max(spac)
-    if h_max > prob.delta / 8.0:
-        needed = math.ceil(8.0 * max(
-            b - a for a, b in zip(profile.domain.window_lo, profile.domain.window_hi)
-        ) / prob.delta)
-        raise ResolutionError(
-            f"grid too coarse for delta={prob.delta}: need grid_n >= {needed}")
     cell_vol = float(np.prod(spac))
-    norm_u = float((np.sum(np.abs(u_ref) ** prob.p) * cell_vol) ** (1.0 / prob.p))
+    norm_u = discrete_lp_norm(u_ref, cell_vol, prob.p)
     eps = prob.epsilon if prob.epsilon is not None else 0.1 * norm_u
     if eps < 0:
         raise ParameterError("epsilon must be nonnegative")
@@ -198,7 +192,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
             prox_pow = 0.0
         else:
             pert = rng.standard_normal(u_ref.shape)
-            pnorm = float((np.sum(np.abs(pert) ** prob.p) * cell_vol) ** (1.0 / prob.p))
+            pnorm = discrete_lp_norm(pert, cell_vol, prob.p)
             if pnorm > 0:
                 pert *= 0.5 * eps / pnorm
             v = u_ref + pert
@@ -248,8 +242,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
             trace.append((it_global, best_obj, best_prox))
 
     kappa_hat = obj.full(best_v)
-    final_prox = float((np.sum(np.abs(best_v - u_ref) ** prob.p) * cell_vol)
-                       ** (1.0 / prob.p))
+    final_prox = discrete_lp_norm(best_v - u_ref, cell_vol, prob.p)
     meta = {
         "kernel": prob.kernel.describe(),
         "profile": profile.describe(),
@@ -351,8 +344,7 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
             gd_samples, spac2 = sample_midpoints(gd, grid_n)
             if gd_samples.shape != g_samples.shape:
                 raise ParameterError(f"family {fam.name!r} changed the grid shape")
-            prox = float((np.sum(np.abs(gd_samples - g_samples) ** p) * cell_vol)
-                         ** (1.0 / p))
+            prox = discrete_lp_norm(gd_samples - g_samples, cell_vol, p)
             budget = float(fam.budget(d))
             if prox > budget * (1.0 + 1e-9):
                 raise ParameterError(

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, KernelValidationError, NormalizationError, ParameterError
 
@@ -71,16 +70,12 @@ _SHAPES = ("indicator", "band", "envelope", "power-cutoff", "tabulated")
 class Kernel:
     """Immutable kernel description: a dimensionless shape times a scale.
 
-    ``a_bound`` is the exact value of sup_{0<t<=1} phi(t)/t^(p+1) at the
-    exponent the kernel was constructed for (0 when the shape vanishes
-    near the origin, inf when the growth condition fails); ``b_bound``
-    is sup phi.  Both include the scale factor.
+    The growth and bound constants depend on p and are computed on
+    demand by ``growth_constant`` and ``bound_constant``.
     """
 
     shape: str
     scale_c: float = 1.0
-    a_bound: float = 0.0
-    b_bound: float = 0.0
     monotone: bool = True
     threshold: float = 1.0          # indicator
     lo: float = 1.0                 # band support (lo, hi)
@@ -115,26 +110,21 @@ class Kernel:
 
 
 # ----------------------------------------------------------------------
-# constructors (closed-form growth/bound constants, never user-supplied)
+# constructors
 # ----------------------------------------------------------------------
 
 def indicator_kernel(c: float = 1.0, threshold: float = 1.0) -> Kernel:
     """c * 1_(threshold, inf): zero up to the threshold, constant above."""
     if threshold <= 0:
         raise ParameterError("indicator threshold must be positive")
-    # growth constant is p-dependent when threshold < 1; the stored field
-    # uses p = 2, live code goes through growth_constant(k, p)
-    a = 0.0 if threshold >= 1.0 else c * threshold ** (-3.0)
-    return Kernel("indicator", scale_c=c, a_bound=a, b_bound=c, monotone=True,
-                  threshold=threshold)
+    return Kernel("indicator", scale_c=c, monotone=True, threshold=threshold)
 
 
 def band_kernel(lo: float = 1.0, hi: float = 2.0, c: float = 1.0) -> Kernel:
     """c * 1_(lo, hi): supported on an interval, hence not monotone."""
     if not (0 < lo < hi):
         raise ParameterError("band requires 0 < lo < hi")
-    a = 0.0 if lo >= 1.0 else c * lo ** (-3.0)
-    return Kernel("band", scale_c=c, a_bound=a, b_bound=c, monotone=False, lo=lo, hi=hi)
+    return Kernel("band", scale_c=c, monotone=False, lo=lo, hi=hi)
 
 
 def envelope_kernel(a: float, b: float, p: float, c: float = 1.0) -> Kernel:
@@ -147,8 +137,8 @@ def envelope_kernel(a: float, b: float, p: float, c: float = 1.0) -> Kernel:
         raise ParameterError("envelope coefficients must be nonnegative")
     if p <= 0:
         raise ParameterError("envelope exponent requires p > 0")
-    return Kernel("envelope", scale_c=c, a_bound=c * a, b_bound=c * max(a, b),
-                  monotone=(a <= b), env_a=a, env_b=b, exponent=p + 1.0)
+    return Kernel("envelope", scale_c=c, monotone=(a <= b), env_a=a, env_b=b,
+                  exponent=p + 1.0)
 
 
 def power_cutoff_kernel(exponent: float, cutoff: float = 1.0, c: float = 1.0) -> Kernel:
@@ -157,9 +147,8 @@ def power_cutoff_kernel(exponent: float, cutoff: float = 1.0, c: float = 1.0) ->
         raise ParameterError("power exponent must be positive")
     if cutoff <= 0:
         raise ParameterError("cutoff must be positive (use inf for no cutoff)")
-    b = math.inf if math.isinf(cutoff) else c * cutoff ** exponent
-    return Kernel("power-cutoff", scale_c=c, a_bound=math.nan, b_bound=b,
-                  monotone=True, exponent=exponent, cutoff=cutoff)
+    return Kernel("power-cutoff", scale_c=c, monotone=True, exponent=exponent,
+                  cutoff=cutoff)
 
 
 def tabulated_kernel(knots, values, c: float = 1.0) -> Kernel:
@@ -187,11 +176,9 @@ def tabulated_kernel(knots, values, c: float = 1.0) -> Kernel:
     else:
         knots = [0.0] + knots
         values = [0.0] + values
-    vals = np.asarray(values)
-    kts = np.asarray(knots)
-    monotone = bool(np.all(np.diff(vals) >= 0))
-    return Kernel("tabulated", scale_c=c, a_bound=math.nan, b_bound=c * float(vals.max()),
-                  monotone=monotone, knots=tuple(knots), values=tuple(values))
+    monotone = bool(np.all(np.diff(values) >= 0))
+    return Kernel("tabulated", scale_c=c, monotone=monotone, knots=tuple(knots),
+                  values=tuple(values))
 
 
 def envelope_for(k: Kernel, p: float) -> Kernel:
@@ -348,16 +335,19 @@ def gamma_dp(d: int, p: float) -> float:
 
     d = 1: the 0-sphere is the two-point set {-1, +1} with counting
     measure, so the moment is exactly 2 for every p.
-    d = 2: computed by adaptive quadrature of 4 * int_0^(pi/2) cos^p.
+    d = 2: int_0^(2 pi) |cos|^p = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1),
+    in closed form (exactly pi at p = 2).
     """
     if p <= 0:
         raise ParameterError("p must be positive")
     if d == 1:
         return 2.0
     if d == 2:
-        val, _ = quad(lambda th: math.cos(th) ** p, 0.0, math.pi / 2.0,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        return 4.0 * val
+        try:
+            return 2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        except OverflowError:  # Gamma alone overflows past p ~ 340, the ratio does not
+            log_ratio = math.lgamma((p + 1) / 2) - math.lgamma(p / 2 + 1)
+            return 2.0 * math.sqrt(math.pi) * math.exp(log_ratio)
     raise ParameterError(f"unsupported dimension d={d}")
 
 
@@ -392,26 +382,32 @@ def normalization_integral(k: Kernel, p: float) -> float:
 
 
 def _tabulated_norm_integral(k: Kernel, p: float) -> float:
-    kts = np.asarray(k.knots)
-    vals = np.asarray(k.values)
+    """Closed form, segment by segment: where phi = alpha + beta t on [t0, t1],
+
+        int_t0^t1 phi(t) t^(-(p+1)) dt
+            = alpha (t0^-p - t1^-p) / p + beta (t0^(1-p) - t1^(1-p)) / (p - 1);
+
+    the constant right extension adds v_last * t_last^-p / p.
+    """
+    kts, vals = k.knots, k.values
     # divergence test: any ramp out of t = 0 makes phi ~ beta t, whose
     # weighted integral near 0 behaves like t^(-p)
-    first_pos = np.nonzero(vals > 0)[0]
-    if first_pos.size:
-        i = int(first_pos[0])
-        if kts[i] == 0.0 or kts[i - 1] == 0.0:
-            raise KernelValidationError("tabulated kernel positive near 0: integral diverges")
-        start = kts[i - 1]
-    else:
+    i = next((j for j, v in enumerate(vals) if v > 0), None)
+    if i is None:
         return 0.0  # identically zero
-    last = float(kts[-1])
-    integrand = lambda t: float(eval_kernel(k, t)) * t ** (-(p + 1.0))
-    interior = [float(t) for t in kts if start < t < last]
-    body, _ = quad(integrand, float(start), last, points=interior or None,
-                   epsabs=1e-13, epsrel=1e-12, limit=400)
-    # constant right extension integrates in closed form
-    tail = k.scale_c * vals[-1] * last ** (-p) / p
-    return body + tail
+    if kts[i] == 0.0 or kts[i - 1] == 0.0:
+        raise KernelValidationError("tabulated kernel positive near 0: integral diverges")
+    body = 0.0
+    # segments before the first positive value are zero, jump segments empty
+    for t0, t1, v0, v1 in zip(kts[i - 1:], kts[i:], vals[i - 1:], vals[i:]):
+        if t1 == t0:
+            continue
+        beta = (v1 - v0) / (t1 - t0)
+        alpha = v0 - beta * t0
+        body += (alpha * (t0 ** -p - t1 ** -p) / p
+                 + beta * (t0 ** (1.0 - p) - t1 ** (1.0 - p)) / (p - 1.0))
+    tail = vals[-1] * kts[-1] ** (-p) / p
+    return k.scale_c * (body + tail)
 
 
 def normalize(k: Kernel, d: int, p: float) -> Kernel:
@@ -420,14 +416,7 @@ def normalize(k: Kernel, d: int, p: float) -> Kernel:
     if not math.isfinite(integral) or integral <= 0:
         raise NormalizationError("calibration integral is zero or divergent")
     factor = 1.0 / (gamma_dp(d, p) * integral)
-    def scale(x):
-        return x * factor if math.isfinite(x) else x
-    return dataclasses.replace(
-        k,
-        scale_c=k.scale_c * factor,
-        a_bound=scale(k.a_bound),
-        b_bound=scale(k.b_bound),
-    )
+    return dataclasses.replace(k, scale_c=k.scale_c * factor)
 
 
 # ----------------------------------------------------------------------

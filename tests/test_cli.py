@@ -235,3 +235,89 @@ grid_n = 1024
 """)
     res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "g"))
     assert res.returncode == 0, res.stderr
+
+
+def test_import_path_has_no_scipy():
+    code = ("import sys, nlsobolev.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_non_finite_function_rejected(tmp_path):
+    conf = write_config(tmp_path, """
+kernel.shape = indicator
+kernel.normalize = true
+function.kind = affine
+function.gradient = nan
+delta = 0.1
+grid_n = 256
+""")
+    res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "e"))
+    assert res.returncode == 2, res.stdout
+    assert res.stderr.startswith("error:")
+    assert "value=" not in res.stdout
+
+
+def test_missing_grid_file_is_config_error(tmp_path):
+    conf = write_config(tmp_path, f"""
+kernel.shape = indicator
+kernel.normalize = true
+function.kind = grid
+function.grid_file = {tmp_path / "absent.csv"}
+function.grid_spacing = 0.01
+delta = 0.1
+grid_n = 256
+""")
+    res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "e"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_seed_zero_overrides_config_seed(tmp_path):
+    base = """
+kernel.shape = indicator
+kernel.normalize = true
+delta = 0.1
+grid_n = 256
+kappa.iterations = 100
+kappa.restarts = 2
+"""
+    seeded = write_config(tmp_path, base + "seed = 7\n", "seeded.conf")
+    plain = write_config(tmp_path, base, "plain.conf")
+    runs = {"cli0": ("--config", seeded, "--seed", "0"),
+            "cfg7": ("--config", seeded),
+            "none": ("--config", plain)}
+    for name, args in runs.items():
+        res = run_cli("kappa", *args, "--out", str(tmp_path / name))
+        assert res.returncode == 0, res.stderr
+    seeds = {name: json.loads((tmp_path / f"{name}.meta.json").read_text())["seed"]
+             for name in runs}
+    assert seeds == {"cli0": 0, "cfg7": 7, "none": 0}
+    assert (tmp_path / "cli0.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
+    assert (tmp_path / "cli0.csv").read_bytes() != (tmp_path / "cfg7.csv").read_bytes()
+
+
+def test_cross_check_fails_on_infinite_certificate(tmp_path):
+    # the growth bound cannot cover a jump, so both schemes' tails are infinite
+    conf = write_config(tmp_path, """
+kernel.shape = power-cutoff
+kernel.exponent = 3.0
+kernel.cutoff = 1.0
+kernel.normalize = true
+function.kind = step
+domain.flavor = whole-space
+domain.padding = 0.5
+delta = 0.2
+grid_n = 256
+polar.h_steps = 64
+cross.budget = 1.0
+""")
+    out = str(tmp_path / "x")
+    res = run_cli("cross-check", "--config", conf, "--out", out)
+    assert res.returncode == 1, res.stderr
+    assert "FAIL" in res.stdout
+    with open(out + ".csv") as fh:
+        assert list(csv.DictReader(fh))[0]["combined_tail"] == "inf-flag"

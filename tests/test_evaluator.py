@@ -291,3 +291,22 @@ def test_sample_midpoints_layout():
     assert u.shape == (16,)
     assert h == pytest.approx(1 / 16)
     assert u[0] == pytest.approx(h / 2)
+
+
+def test_non_finite_samples_rejected():
+    k = nl.normalize(nl.indicator_kernel(), 1, 2.0)
+    with pytest.raises(ParameterError):
+        nl.grid_function([0.0, 0.5, np.nan, 0.2], [0.0], 0.25)
+    nan_affine = nl.affine_function([np.nan], 0.0, nl.bounded_box([0.0], [1.0]))
+    with pytest.raises(ParameterError):
+        sample_midpoints(nan_affine, 64)
+    params = nl.FunctionalParams(p=2.0, delta=0.2, grid_n=64, polar_h_steps=16)
+    with pytest.raises(ParameterError):
+        nl.lambda_pair(nan_affine, k, params)
+    inf_sine = nl.sine_function(1.0, np.inf, nl.whole_space([0.0], [1.0]))
+    with pytest.raises(ParameterError):
+        nl.lambda_polar(inf_sine, k, params)
+    prob = nl.KappaProblem(kernel=k, delta=0.2, grid_n=64,
+                           iterations=10, restarts=1, profile=nan_affine)
+    with pytest.raises(ParameterError):
+        nl.kappa_estimate(prob)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as euler_gamma
+from scipy.special import gamma as euler_gamma, gammaln
 
 import nlsobolev as nl
 from nlsobolev.errors import (DomainError, KernelValidationError,
@@ -122,6 +122,13 @@ def test_gamma_d2_matches_beta_closed_form():
     # independent oracle: int_0^{2pi} |cos|^p = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)
     for p in (1.5, 2.0, 2.7, 3.0, 5.25):
         closed = 2.0 * math.sqrt(math.pi) * euler_gamma((p + 1) / 2) / euler_gamma(p / 2 + 1)
+        assert nl.gamma_dp(2, p) == pytest.approx(closed, rel=1e-10)
+
+
+def test_gamma_d2_large_p_past_gamma_overflow():
+    # Gamma((p+1)/2) alone overflows a double here; the ratio stays finite
+    for p in (341.0, 400.0, 1000.0):
+        closed = 2.0 * math.sqrt(math.pi) * math.exp(gammaln((p + 1) / 2) - gammaln(p / 2 + 1))
         assert nl.gamma_dp(2, p) == pytest.approx(closed, rel=1e-10)
 
 
