@@ -12,7 +12,7 @@ Subcommands map onto the library operations:
 
 Every run writes <prefix>.csv and <prefix>.meta.json and prints a
 one-line summary.  Exit codes: 0 success, 1 validation failure,
-2 parameter/contract/config error.
+2 parameter/contract/config/I-O error.
 
 Config lines are `key = value` with dotted sections, e.g.::
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -44,7 +43,7 @@ import numpy as np
 from . import __version__
 from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
-from . import experiments, functions, gamma_limit, kernels
+from . import evaluator, experiments, functions, gamma_limit, kernels
 from .evaluator import FunctionalParams, lambda_pair, lambda_polar
 
 _SUBCOMMANDS = ("validate-kernel", "eval", "sweep", "pathology",
@@ -107,7 +106,7 @@ def _get_float(cfg, key, default=None):
 
 def _get_int(cfg, key, default=None):
     v = _get_float(cfg, key, default)
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ConfigError(f"key {key!r}: expected an integer")
     return int(v)
 
@@ -193,6 +192,9 @@ def build_function(cfg: dict, d: int) -> functions.TestFunction:
                 values = np.fromfile(path, dtype=np.float64)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read grid file {path!r}: {exc}") from exc
+        if values.ndim != d:
+            raw = " (raw float64 grids are 1-D)" if fmt == "float64" else ""
+            raise ConfigError(f"grid file {path!r} is {values.ndim}-D{raw}, but d = {d}")
         spacing = _get_float(cfg, "function.grid_spacing")
         origin = _get_list(cfg, "function.grid_origin", [0.0] * values.ndim)
         flavor = cfg.get("domain.flavor", "bounded")
@@ -235,9 +237,9 @@ def _write_single_csv(path, header, rows):
                         for tok in row])
 
 
-def _meta(cfg, args, extra=None):
+def _meta(cfg, args, extra=None, polar=False):
     meta = {"config": dict(cfg), "subcommand": args.subcommand,
-            "threads": args.threads, "seed": args.seed}
+            "threads": evaluator.POLAR_THREADS if polar else 1, "seed": args.seed}
     if extra:
         meta.update(extra)
     return meta
@@ -278,7 +280,7 @@ def _run_eval(cfg, args) -> int:
     params = FunctionalParams(p=p, delta=delta, grid_n=_get_int(cfg, "grid_n", 1024),
                               diagonal_policy=cfg.get("diagonal_policy",
                                                       "exclude-and-bound"),
-                              threads=args.threads, **_polar_settings(cfg))
+                              **_polar_settings(cfg))
     scheme = cfg.get("scheme", "pair")
     if scheme == "pair":
         res = lambda_pair(f, k, params)
@@ -294,7 +296,7 @@ def _run_eval(cfg, args) -> int:
                       [[delta, res.value, res.tail_bound, energy, ratio]])
     experiments.write_meta(_meta(cfg, args, {"kernel": k.describe(),
                                              "function": f.describe(),
-                                             "scheme": scheme}),
+                                             "scheme": scheme}, scheme == "polar"),
                            args.out + ".meta.json")
     print(f"eval value={res.value:.17g} tail_bound={res.tail_bound:.3g}")
     return 0
@@ -306,15 +308,15 @@ def _run_sweep(cfg, args) -> int:
     k = build_kernel(cfg, d, p)
     f = build_function(cfg, d)
     deltas = _get_list(cfg, "delta_list")
+    scheme = cfg.get("scheme", "pair")
     report = experiments.delta_sweep(
-        f, k, p, deltas, grid_n=_get_int(cfg, "grid_n", 1024),
-        scheme=cfg.get("scheme", "pair"),
+        f, k, p, deltas, grid_n=_get_int(cfg, "grid_n", 1024), scheme=scheme,
         diagonal_policy=cfg.get("diagonal_policy", "exclude-and-bound"),
-        threads=args.threads,
         allow_bounded_polar=_get_bool(cfg, "polar.allow_bounded"),
         polar_settings=_polar_settings(cfg))
     experiments.write_sweep_csv(report, args.out + ".csv")
-    experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")
+    experiments.write_meta(_meta(cfg, args, report.metadata, scheme == "polar"),
+                           args.out + ".meta.json")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
     print(f"sweep rows={len(report.rows)} last_delta={last.delta:g} "
@@ -328,8 +330,7 @@ def _run_pathology(cfg, args) -> int:
         deltas = _get_list(cfg, "delta_list")
     else:
         deltas = [_get_float(cfg, "delta", 0.25)]
-    report = experiments.band_pathology(deltas, grid_n=_get_int(cfg, "grid_n", 1024),
-                                        threads=args.threads)
+    report = experiments.band_pathology(deltas, grid_n=_get_int(cfg, "grid_n", 1024))
     experiments.write_sweep_csv(report, args.out + ".csv")
     experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")
     smallest = report.rows[-1]
@@ -341,7 +342,7 @@ def _run_step_divergence(cfg, args) -> int:
     p = _get_float(cfg, "p", 2.0)
     delta = _get_float(cfg, "delta", 0.1)
     ns = [int(n) for n in _get_list(cfg, "n_list", [1024, 2048, 4096, 8192])]
-    report = experiments.step_divergence(p, delta, ns, threads=args.threads)
+    report = experiments.step_divergence(p, delta, ns)
     experiments.write_growth_csv(report, args.out + ".csv")
     experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")
     print(f"step-divergence final_ratio={report.final_ratio:.6g} "
@@ -363,7 +364,7 @@ def _run_kappa(cfg, args) -> int:
                    if "kappa.step_init" in cfg else None),
         step_shrink=_get_float(cfg, "kappa.step_shrink", 0.5),
         patience=_get_int(cfg, "kappa.patience", 50),
-        seed=args.seed, threads=args.threads)
+        seed=args.seed)
     report = gamma_limit.kappa_estimate(prob)
     gamma_limit.write_trace_csv(report, args.out + ".csv")
     experiments.write_meta(_meta(cfg, args, report.summary()), args.out + ".meta.json")
@@ -386,7 +387,7 @@ def _run_cross_check(cfg, args) -> int:
     for delta in deltas:
         params = FunctionalParams(p=p, delta=delta,
                                   grid_n=_get_int(cfg, "grid_n", 1024),
-                                  threads=args.threads, **_polar_settings(cfg))
+                                  **_polar_settings(cfg))
         pr = lambda_pair(f, k, params)
         po = lambda_polar(f, k, params,
                           allow_bounded=_get_bool(cfg, "polar.allow_bounded"))
@@ -402,7 +403,7 @@ def _run_cross_check(cfg, args) -> int:
                        "rel_gap"], rows)
     experiments.write_meta(_meta(cfg, args, {"kernel": k.describe(),
                                              "function": f.describe(),
-                                             "budget": budget}),
+                                             "budget": budget}, polar=True),
                            args.out + ".meta.json")
     print(f"cross-check {'PASS' if ok else 'FAIL'} worst_rel_gap={worst:.6g}")
     return 0 if ok else 1
@@ -427,7 +428,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", default="run", help="output path prefix")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config's seed (default: config seed, else 0)")
     parser.add_argument("--version", action="version", version=__version__)
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
             args.seed = _get_int(cfg, "seed", 0)
         status = _RUNNERS[args.subcommand](cfg, args)
     except (ConfigError, ParameterError, ResolutionError, ContractError,
-            DomainError, KernelValidationError) as exc:
+            DomainError, KernelValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _append_wall_time(args.out + ".meta.json", time.perf_counter() - start)

@@ -17,14 +17,15 @@ polar scheme integrates h on a geometric grid (the integrand decays like
 h^-(p+1)) and certifies the omitted head and tail analytically.
 
 Determinism: all reductions run over a fixed chunking of the term index
-space, combined by a fixed-order pairwise tree, so results are
-bit-identical for any thread count.
+space, combined by a fixed-order pairwise tree.  Pair sums run serially;
+polar chunks run on ``POLAR_THREADS`` threads, bit-identical at any width.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ __all__ = [
     "sample_midpoints",
 ]
 
-_LAG_CHUNK = 128          # lags per reduction chunk, independent of thread count
+_LAG_CHUNK = 128          # lags per reduction chunk
+POLAR_THREADS = os.cpu_count() or 1   # polar pool width; the pair sums are serial
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}   # |S^(d-1)| with counting measure at d=1
 
 
@@ -65,7 +67,7 @@ class FunctionalParams:
     polar_h_max: float = 200.0
     polar_h_steps: int = 600
     polar_angle_steps: int = 64
-    threads: int = 1
+    threads: int = 1     # accepted and validated; results never depend on it
 
     def __post_init__(self):
         if self.p < 1:
@@ -141,12 +143,17 @@ def _run_chunks(worker, chunks, threads: int) -> list[float]:
         return list(ex.map(worker, chunks))
 
 
+def _chunked_sum(term, items, chunk: int) -> float:
+    """Sum term(item) with np.sum inside fixed chunks of items, _tree_sum across."""
+    return _tree_sum([float(np.sum([term(it) for it in items[a:a + chunk]]))
+                      for a in range(0, len(items), chunk)])
+
+
 # ----------------------------------------------------------------------
 # pair scheme
 # ----------------------------------------------------------------------
 
-def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float,
-                 threads: int) -> float:
+def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float) -> float:
     """Sum over ordered cell pairs of shape(|du|/delta) * |dx|^-(p+1) * h^2.
 
     Pairs are grouped by lag; the symmetric factor 2 makes the result
@@ -154,20 +161,13 @@ def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float,
     applied by the caller.
     """
     n = u.size
-    if n < 2:
-        return 0.0
-    lags = np.arange(1, n)
-    w = 2.0 * (lags * h) ** (-(p + 1.0)) * (h * h)
+    w = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
 
-    def worker(ms):
-        terms = np.empty(len(ms))
-        for t, m in enumerate(ms):
-            args = np.abs(u[m:] - u[: n - m]) / delta
-            terms[t] = w[m - 1] * float(np.sum(_shape_values(k, args)))
-        return float(np.sum(terms))
+    def term(m):
+        args = np.abs(u[m:] - u[: n - m]) / delta
+        return w[m - 1] * float(np.sum(_shape_values(k, args)))
 
-    chunks = [range(a, min(a + _LAG_CHUNK, n)) for a in range(1, n, _LAG_CHUNK)]
-    return _tree_sum(_run_chunks(worker, chunks, threads))
+    return _chunked_sum(term, range(1, n), _LAG_CHUNK)
 
 
 def _lag_vectors(n0: int, n1: int):
@@ -178,39 +178,38 @@ def _lag_vectors(n0: int, n1: int):
     return out
 
 
-def _pair_raw_2d(u: np.ndarray, spac, k: Kernel, p: float, delta: float,
-                 threads: int) -> float:
+def _pair_raw_2d(u: np.ndarray, spac, k: Kernel, p: float, delta: float) -> float:
     n0, n1 = u.shape
     hx, hy = spac
     cell2 = (hx * hy) ** 2
 
-    def worker(lag_block):
-        terms = np.empty(len(lag_block))
-        for t, (mx, my) in enumerate(lag_block):
-            if mx >= 0:
-                d = u[mx:, my:] - u[: n0 - mx, : n1 - my]
-            else:
-                d = u[:mx, my:] - u[-mx:, : n1 - my]
-            r = math.hypot(mx * hx, my * hy)
-            args = np.abs(d) / delta
-            terms[t] = (2.0 * r ** (-(p + 2.0)) * cell2
-                        * float(np.sum(_shape_values(k, args))))
-        return float(np.sum(terms))
+    def term(lag):
+        mx, my = lag
+        if mx >= 0:
+            d = u[mx:, my:] - u[: n0 - mx, : n1 - my]
+        else:
+            d = u[:mx, my:] - u[-mx:, : n1 - my]
+        r = math.hypot(mx * hx, my * hy)
+        args = np.abs(d) / delta
+        return (2.0 * r ** (-(p + 2.0)) * cell2
+                * float(np.sum(_shape_values(k, args))))
 
-    lagset = _lag_vectors(n0, n1)
-    block = 4 * _LAG_CHUNK
-    chunks = [lagset[a:a + block] for a in range(0, len(lagset), block)]
-    return _tree_sum(_run_chunks(worker, chunks, threads))
+    return _chunked_sum(term, _lag_vectors(n0, n1), 4 * _LAG_CHUNK)
 
 
 def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: float,
                         threads: int = 1) -> float:
-    """Midpoint pair quadrature on pre-sampled values (same-cell terms skipped)."""
+    """Midpoint pair quadrature on pre-sampled values (same-cell terms skipped).
+
+    The sum is serial; ``threads`` is validated for callers that pass it.
+    """
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
     factor = k.scale_c * delta ** p
     if u.ndim == 1:
-        raw = _pair_raw_1d(u, spacings[0], k, p, delta, threads)
+        raw = _pair_raw_1d(u, spacings[0], k, p, delta)
     else:
-        raw = _pair_raw_2d(u, spacings, k, p, delta, threads)
+        raw = _pair_raw_2d(u, spacings, k, p, delta)
     return factor * raw
 
 
@@ -267,7 +266,7 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
     continuum integral itself diverges).
     """
     u, spac = sample_midpoints(f, params.grid_n)
-    value = pair_sum_on_samples(u, spac, k, params.p, params.delta, params.threads)
+    value = pair_sum_on_samples(u, spac, k, params.p, params.delta)
     if not math.isfinite(value):
         raise ParameterError("non-finite pair sum (kernel values overflow?)")
     tail = _window_bound(f, k, params.p, params.delta)
@@ -357,7 +356,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         per_h = np.sum(_shape_values(k, args), axis=0)
         return float(np.dot(per_h, h_weights[a:b]))
 
-    raw = _tree_sum(_run_chunks(worker, chunks, params.threads))
+    raw = _tree_sum(_run_chunks(worker, chunks, POLAR_THREADS))
     value = k.scale_c * cell_vol * ang_w * ds * raw
 
     # certificates: h-tail, h-head, and (whole-space) the x region beyond the window
@@ -392,9 +391,9 @@ def scaling_check(f: TestFunction, k: Kernel, params: FunctionalParams) -> float
     identity holds term-by-term up to floating-point rounding.
     """
     u, spac = sample_midpoints(f, params.grid_n)
-    lhs = pair_sum_on_samples(u, spac, k, params.p, params.delta, params.threads)
+    lhs = pair_sum_on_samples(u, spac, k, params.p, params.delta)
     rhs = params.delta ** params.p * pair_sum_on_samples(
-        u / params.delta, spac, k, params.p, 1.0, params.threads)
+        u / params.delta, spac, k, params.p, 1.0)
     return abs(lhs - rhs) / max(lhs, np.finfo(float).eps)
 
 

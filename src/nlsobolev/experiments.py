@@ -129,7 +129,7 @@ def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
 
 def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 1024,
                 scheme: str = "pair", diagonal_policy: str = "exclude-and-bound",
-                threads: int = 1, allow_bounded_polar: bool = False,
+                allow_bounded_polar: bool = False,
                 polar_settings: dict | None = None) -> SweepReport:
     """One row per delta: value, certificate, reference energy, ratio.
 
@@ -143,8 +143,7 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
     energy = sobolev_energy(f, p)
     rows = []
     for d in ds:
-        kw = dict(p=p, delta=d, grid_n=grid_n, diagonal_policy=diagonal_policy,
-                  threads=threads)
+        kw = dict(p=p, delta=d, grid_n=grid_n, diagonal_policy=diagonal_policy)
         if polar_settings:
             kw.update(polar_settings)
         params = FunctionalParams(**kw)
@@ -168,8 +167,8 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
     return SweepReport(rows, meta)
 
 
-def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1), grid_n: int = 1024,
-                   threads: int = 1) -> SweepReport:
+def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1),
+                   grid_n: int = 1024) -> SweepReport:
     """Unit step against the normalized band kernel on (-1, 2).
 
     The attained difference quotients are exactly 0 and 1/delta; for
@@ -184,7 +183,7 @@ def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1), grid_n: int = 1024,
     rows = []
     for d in ds:
         params = FunctionalParams(p=2.0, delta=d, grid_n=grid_n,
-                                  diagonal_policy="exclude-cell", threads=threads)
+                                  diagonal_policy="exclude-cell")
         res = lambda_pair(f, k, params)
         rows.append(SweepRow(d, res.value, res.tail_bound, math.inf, None))
     meta = {
@@ -199,7 +198,7 @@ def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1), grid_n: int = 1024,
     return SweepReport(rows, meta)
 
 
-def step_divergence(p: float, delta: float, n_list, threads: int = 1) -> GrowthReport:
+def step_divergence(p: float, delta: float, n_list) -> GrowthReport:
     """Grid-refinement growth table for the unit step at fixed delta.
 
     Uses the indicator kernel, normalized when p > 1; at p = 1 the raw
@@ -217,7 +216,7 @@ def step_divergence(p: float, delta: float, n_list, threads: int = 1) -> GrowthR
     prev = None
     for n in ns:
         params = FunctionalParams(p=p, delta=delta, grid_n=n,
-                                  diagonal_policy="exclude-cell", threads=threads)
+                                  diagonal_policy="exclude-cell")
         value = lambda_pair(f, k, params).value
         rows.append(GrowthRow(n, value, None if prev is None else value / prev))
         prev = value

@@ -60,7 +60,7 @@ class KappaProblem:
     step_shrink: float = 0.5
     patience: int = 50                # consecutive rejections before shrinking
     seed: int = 0
-    threads: int = 1
+    threads: int = 1                  # validated only; results never depend on it
     profile: TestFunction | None = None   # override: e.g. an affine on a dilated box
 
     def __post_init__(self):
@@ -74,6 +74,8 @@ class KappaProblem:
             raise ParameterError("epsilon must be nonnegative")
         if self.epsilon == 0.0 and (self.iterations > 0 or self.restarts > 1):
             raise ParameterError("epsilon = 0 leaves no room for perturbations")
+        if self.threads < 1:
+            raise ParameterError("threads must be >= 1")
 
 
 @dataclass
@@ -113,18 +115,17 @@ class _PairObjective:
     running total that is re-anchored by a full evaluation at the end.
     """
 
-    def __init__(self, k: Kernel, p: float, delta: float, spacings, shape, threads: int):
+    def __init__(self, k: Kernel, p: float, delta: float, spacings, shape):
         self.k, self.p, self.delta = k, p, delta
         self.spacings = spacings
-        self.threads = threads
         self.factor = k.scale_c * delta ** p
         n = shape[0]
+        self.idx = np.arange(n)
         if len(shape) == 1:
             m = np.arange(n, dtype=float)
             w = np.zeros(n)
             w[1:] = 2.0 * (m[1:] * spacings[0]) ** (-(p + 1.0)) * spacings[0] ** 2
             self.w = w
-            self.idx = np.arange(n)
         else:
             hx, hy = spacings
             mx = np.arange(n, dtype=float)[:, None]
@@ -134,11 +135,9 @@ class _PairObjective:
             w = 2.0 * r ** (-(p + 2.0)) * (hx * hy) ** 2
             w[0, 0] = 0.0
             self.w = w
-            self.idx = np.arange(n)
 
     def full(self, v: np.ndarray) -> float:
-        return pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta,
-                                   self.threads)
+        return pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta)
 
     def move_delta(self, v: np.ndarray, where, old: float, new: float) -> float:
         """Objective change when v[where] goes old -> new."""
@@ -173,8 +172,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     eps_pow = eps ** prob.p
     step0 = prob.step_init if prob.step_init is not None else prob.delta
 
-    obj = _PairObjective(prob.kernel, prob.p, prob.delta, spac, u_ref.shape,
-                         prob.threads)
+    obj = _PairObjective(prob.kernel, prob.p, prob.delta, spac, u_ref.shape)
     rng = np.random.default_rng(prob.seed)
     baseline = obj.full(u_ref)
 
@@ -274,14 +272,14 @@ def write_trace_csv(report: KappaReport, path):
 # ----------------------------------------------------------------------
 
 def recovery_upper_bound(f: TestFunction, k: Kernel, p: float, delta_list,
-                         grid_n: int = 1024, threads: int = 1) -> SweepReport:
+                         grid_n: int = 1024) -> SweepReport:
     """Evaluate the trivial recovery family g_delta = f along a sweep.
 
     The pointwise limit of the values is the full energy of f, which
     dominates kappa times that energy: a concrete witness that the
     limiting constant cannot exceed 1.
     """
-    report = delta_sweep(f, k, p, delta_list, grid_n=grid_n, threads=threads)
+    report = delta_sweep(f, k, p, delta_list, grid_n=grid_n)
     small = report.rows[-min(3, len(report.rows)):]
     report.metadata["experiment"] = "recovery_upper_bound"
     report.metadata["limsup_proxy"] = max(r.value for r in small)
@@ -318,7 +316,7 @@ class ProbeReport:
 
 def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list,
                       grid_n: int = 1024, kappa_hat: float | None = None,
-                      tolerance: float = 0.05, threads: int = 1) -> ProbeReport:
+                      tolerance: float = 0.05) -> ProbeReport:
     """Evaluate perturbation families against the kappa_hat lower bound.
 
     For each family the minimum value over the sweep is compared with
@@ -350,7 +348,7 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
                 raise ParameterError(
                     f"family {fam.name!r} violates its proximity schedule at "
                     f"delta={d}: {prox:.3g} > {budget:.3g}")
-            params = FunctionalParams(p=p, delta=d, grid_n=grid_n, threads=threads)
+            params = FunctionalParams(p=p, delta=d, grid_n=grid_n)
             value = lambda_pair(gd, k, params).value
             row = ProbeRow(fam.name, d, value, prox, budget)
             rows.append(row)

@@ -40,7 +40,7 @@ scheme = pair
 def test_sweep_matches_closed_form(tmp_path):
     conf = write_config(tmp_path, SWEEP_CONF)
     out = str(tmp_path / "sweep")
-    res = run_cli("sweep", "--config", conf, "--out", out, "--threads", "1")
+    res = run_cli("sweep", "--config", conf, "--out", out)
     assert res.returncode == 0, res.stderr
     with open(out + ".csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -321,3 +321,38 @@ cross.budget = 1.0
     assert "FAIL" in res.stdout
     with open(out + ".csv") as fh:
         assert list(csv.DictReader(fh))[0]["combined_tail"] == "inf-flag"
+
+
+AFFINE_EVAL = """
+kernel.shape = indicator
+kernel.normalize = true
+function.kind = affine
+delta = 0.1
+"""
+
+
+@pytest.mark.parametrize("case", ["float64-grid-d2", "csv-grid-d1", "grid_n-1e400",
+                                  "grid_n-nan", "missing-out-dir"])
+def test_boundary_errors_exit_2(tmp_path, case):
+    # a grid whose ndim is not d, a non-finite integer key, an unwritable --out
+    x = np.linspace(0.0, 1.0, 32)
+    field = np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
+    field.tofile(tmp_path / "field.bin")
+    np.savetxt(tmp_path / "field.csv", field, delimiter=",")
+    grid = "kernel.shape = indicator\nkernel.normalize = true\nfunction.kind = grid\n" \
+           "function.grid_spacing = 0.03125\ndelta = 0.5\n"
+    text = {
+        "float64-grid-d2": grid + f"function.grid_file = {tmp_path / 'field.bin'}\n"
+                                  "function.grid_format = float64\nd = 2\ngrid_n = 512\n",
+        "csv-grid-d1": grid + f"function.grid_file = {tmp_path / 'field.csv'}\n"
+                              "d = 1\ngrid_n = 16\n",
+        "grid_n-1e400": AFFINE_EVAL + "grid_n = 1e400\n",
+        "grid_n-nan": AFFINE_EVAL + "grid_n = nan\n",
+        "missing-out-dir": AFFINE_EVAL + "grid_n = 256\n",
+    }[case]
+    conf = write_config(tmp_path, text)
+    out = tmp_path / "absent" / "e" if case == "missing-out-dir" else tmp_path / "e"
+    res = run_cli("eval", "--config", conf, "--out", str(out))
+    assert res.returncode == 2, res.stdout
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr

@@ -7,6 +7,7 @@ import pytest
 
 import nlsobolev as nl
 from nlsobolev.errors import ContractError, ParameterError
+from nlsobolev import evaluator
 from nlsobolev.evaluator import pair_sum_on_samples, sample_midpoints
 
 
@@ -222,6 +223,26 @@ def test_polar_matches_pair_on_tent():
     po = nl.lambda_polar(tent, k, params)
     allowed = pr.tail_bound + po.tail_bound + 0.02 * max(pr.value, po.value)
     assert abs(pr.value - po.value) <= allowed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_polar_pool_width_bitwise_equal(monkeypatch, dim):
+    if dim == 1:
+        f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
+        params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
+    else:
+        x = np.linspace(-1.0, 1.0, 17)
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        f = nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
+                             0.125, flavor="whole-space", padding=1.0)
+        params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=128,
+                                     polar_angle_steps=8)
+    k = nl.normalize(nl.indicator_kernel(), dim, 2.0)
+    vals = set()
+    for width in (1, 2, 4):
+        monkeypatch.setattr(evaluator, "POLAR_THREADS", width)
+        vals.add(nl.lambda_polar(f, k, params).value)
+    assert len(vals) == 1
 
 
 def test_polar_matches_pair_2d_smooth():
