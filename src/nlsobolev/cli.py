@@ -104,11 +104,14 @@ def _get_float(cfg, key, default=None):
         raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from exc
 
 
-def _get_int(cfg, key, default=None):
-    v = _get_float(cfg, key, default)
+def _as_int(key, v):
     if not math.isfinite(v) or v != int(v):
         raise ConfigError(f"key {key!r}: expected an integer")
     return int(v)
+
+
+def _get_int(cfg, key, default=None):
+    return _as_int(key, _get_float(cfg, key, default))
 
 
 def _get_bool(cfg, key, default=False):
@@ -341,7 +344,7 @@ def _run_pathology(cfg, args) -> int:
 def _run_step_divergence(cfg, args) -> int:
     p = _get_float(cfg, "p", 2.0)
     delta = _get_float(cfg, "delta", 0.1)
-    ns = [int(n) for n in _get_list(cfg, "n_list", [1024, 2048, 4096, 8192])]
+    ns = [_as_int("n_list", n) for n in _get_list(cfg, "n_list", [1024, 2048, 4096, 8192])]
     report = experiments.step_divergence(p, delta, ns)
     experiments.write_growth_csv(report, args.out + ".csv")
     experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")

@@ -19,6 +19,9 @@ h^-(p+1)) and certifies the omitted head and tail analytically.
 Determinism: all reductions run over a fixed chunking of the term index
 space, combined by a fixed-order pairwise tree.  Pair sums run serially;
 polar chunks run on ``POLAR_THREADS`` threads, bit-identical at any width.
+For the 0/1 kernels (indicator, band) every per-lag and per-h sum is an
+exact integer count of |du| against cuts precomputed from the kernel's
+edges and delta (no division), equal bit for bit to the division form.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,8 +51,17 @@ __all__ = [
 ]
 
 _LAG_CHUNK = 128          # lags per reduction chunk
+_BLOCK = 1 << 15          # |du| elements per 2-D counting block
+_CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving up
+_DBL_MAX = sys.float_info.max
 POLAR_THREADS = os.cpu_count() or 1   # polar pool width; the pair sums are serial
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}   # |S^(d-1)| with counting measure at d=1
+
+
+def _require_delta(delta: float) -> None:
+    """Refuse a delta that is not finite and positive (nan included)."""
+    if not 0.0 < delta < math.inf:
+        raise ParameterError("delta must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,7 @@ class FunctionalParams:
     def __post_init__(self):
         if self.p < 1:
             raise ParameterError("p must be >= 1 (p = 1 is exploration mode)")
-        if self.delta <= 0:
-            raise ParameterError("delta must be positive")
+        _require_delta(self.delta)
         if self.grid_n < 16:
             raise ParameterError("grid_n must be at least 16")
         if self.diagonal_policy not in ("exclude-cell", "exclude-and-bound"):
@@ -143,10 +155,69 @@ def _run_chunks(worker, chunks, threads: int) -> list[float]:
         return list(ex.map(worker, chunks))
 
 
-def _chunked_sum(term, items, chunk: int) -> float:
-    """Sum term(item) with np.sum inside fixed chunks of items, _tree_sum across."""
-    return _tree_sum([float(np.sum([term(it) for it in items[a:a + chunk]]))
-                      for a in range(0, len(items), chunk)])
+def _chunked_sum(terms: np.ndarray, chunk: int) -> float:
+    """np.sum inside fixed chunks of the per-lag terms, _tree_sum across."""
+    return _tree_sum([float(np.sum(terms[a:a + chunk]))
+                      for a in range(0, terms.size, chunk)])
+
+
+# ----------------------------------------------------------------------
+# exact counts for the 0/1 kernels
+# ----------------------------------------------------------------------
+
+def _cut(pred, guess: float):
+    """Smallest double a >= 0 with pred(a), searched from ``guess``.
+
+    pred must be monotone in a.  Returns None when the cut lies more
+    than _CUT_STEPS ulps from the guess (or pred holds nowhere), so the
+    caller falls back to the division form instead of searching on.
+    """
+    a = min(guess, _DBL_MAX)      # an infinite guess starts at the largest double
+    if not a >= 0.0:
+        return None
+    if pred(a):
+        for _ in range(_CUT_STEPS):
+            below = math.nextafter(a, 0.0)
+            if a == 0.0 or not pred(below):
+                return a
+            a = below
+    else:
+        for _ in range(_CUT_STEPS):
+            a = math.nextafter(a, math.inf)
+            if pred(a):
+                return a
+    return None
+
+
+def _count_cuts(k: Kernel, delta: float):
+    """Cuts (lo, hi) on |du| with shape(fl(|du| / delta)) == 1  <=>  lo <= |du| < hi.
+
+    Defined for the 0/1 kernels; hi is None for the indicator, which has
+    no upper edge (an overflowing |du| = inf still counts, as inf/delta
+    exceeds the threshold).  Correctly rounded division is monotone in
+    |du|, so each cut is the first double past an edge and lies within a
+    few ulps of edge*delta.  None for any other kernel, a non-finite
+    delta or a cut the search does not reach: those use the division form.
+    """
+    if k.shape not in ("indicator", "band") or not 0.0 < delta < math.inf:
+        return None
+    low = k.threshold if k.shape == "indicator" else k.lo
+    lo = _cut(lambda a: a / delta > low, min(low, _DBL_MAX) * delta)
+    if lo is None:
+        return None
+    if k.shape == "indicator":
+        return lo, None
+    hi = _cut(lambda a: a / delta >= k.hi, min(k.hi, _DBL_MAX) * delta)
+    return None if hi is None else (lo, hi)
+
+
+def _inside(a: np.ndarray, cuts, out=None) -> np.ndarray:
+    """Mask of the |du| values in [lo, hi): where the 0/1 shape is 1."""
+    lo, hi = cuts
+    out = np.greater_equal(a, lo, out=out)
+    if hi is not None:
+        out &= a < hi
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -162,12 +233,18 @@ def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float) -> 
     """
     n = u.size
     w = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
-
-    def term(m):
-        args = np.abs(u[m:] - u[: n - m]) / delta
-        return w[m - 1] * float(np.sum(_shape_values(k, args)))
-
-    return _chunked_sum(term, range(1, n), _LAG_CHUNK)
+    cuts = _count_cuts(k, delta)
+    sums = np.empty(n - 1)
+    buf = np.empty(n - 1)
+    mask = np.empty(n - 1, dtype=bool)
+    for m in range(1, n):
+        d = np.subtract(u[m:], u[: n - m], out=buf[: n - m])
+        np.abs(d, out=d)
+        if cuts is None:
+            sums[m - 1] = np.sum(_shape_values(k, d / delta))
+        else:
+            sums[m - 1] = np.count_nonzero(_inside(d, cuts, mask[: n - m]))
+    return _chunked_sum(w * sums, _LAG_CHUNK)
 
 
 def _lag_vectors(n0: int, n1: int):
@@ -178,23 +255,55 @@ def _lag_vectors(n0: int, n1: int):
     return out
 
 
+def _lag_sums_2d(u: np.ndarray, k: Kernel, delta: float) -> np.ndarray:
+    """s[my, mx + n0 - 1]: sum of shape(|du|/delta) over the pairs at lag (mx, my).
+
+    A pair at lag (mx, my) is u[i', j + my] - u[i, j] with mx = i' - i.
+    For a 0/1 kernel one pass per my counts a block of row pairs (i', i)
+    at once, at most _BLOCK elements, and np.bincount files the counts
+    under mx; other kernels sum shape values lag by lag.
+    """
+    n0, n1 = u.shape
+    cuts = _count_cuts(k, delta)
+    s = np.zeros((n1, 2 * n0 - 1))
+    if cuts is None:
+        for mx, my in _lag_vectors(n0, n1):
+            if mx >= 0:
+                d = u[mx:, my:] - u[: n0 - mx, : n1 - my]
+            else:
+                d = u[:mx, my:] - u[-mx:, : n1 - my]
+            s[my, mx + n0 - 1] = np.sum(_shape_values(k, np.abs(d) / delta))
+        return s
+    lag_index = np.arange(n0)[:, None] - np.arange(n0)[None, :] + (n0 - 1)
+    buf = np.empty(max(_BLOCK, n1))
+    mask = np.empty(buf.size, dtype=bool)
+    for my in range(n1):
+        ln = n1 - my
+        cols = min(n0, max(1, _BLOCK // ln))
+        rows = max(1, _BLOCK // (cols * ln))
+        for r0 in range(0, n0, rows):
+            for c0 in range(0, n0, cols):
+                a, b = u[r0:r0 + rows, None, my:], u[None, c0:c0 + cols, :ln]
+                shape = (a.shape[0], b.shape[1], ln)
+                size = shape[0] * shape[1] * ln
+                d = np.subtract(a, b, out=buf[:size].reshape(shape))
+                np.abs(d, out=d)
+                cnt = np.count_nonzero(_inside(d, cuts, mask[:size].reshape(shape)),
+                                       axis=2)
+                s[my] += np.bincount(lag_index[r0:r0 + rows, c0:c0 + cols].ravel(),
+                                     weights=cnt.ravel(), minlength=2 * n0 - 1)
+    return s
+
+
 def _pair_raw_2d(u: np.ndarray, spac, k: Kernel, p: float, delta: float) -> float:
     n0, n1 = u.shape
     hx, hy = spac
     cell2 = (hx * hy) ** 2
-
-    def term(lag):
-        mx, my = lag
-        if mx >= 0:
-            d = u[mx:, my:] - u[: n0 - mx, : n1 - my]
-        else:
-            d = u[:mx, my:] - u[-mx:, : n1 - my]
-        r = math.hypot(mx * hx, my * hy)
-        args = np.abs(d) / delta
-        return (2.0 * r ** (-(p + 2.0)) * cell2
-                * float(np.sum(_shape_values(k, args))))
-
-    return _chunked_sum(term, _lag_vectors(n0, n1), 4 * _LAG_CHUNK)
+    w = np.array([2.0 * math.hypot(mx * hx, my * hy) ** (-(p + 2.0)) * cell2
+                  for mx, my in _lag_vectors(n0, n1)])
+    s = _lag_sums_2d(u, k, delta)
+    sums = np.concatenate([s[0, n0:], s[1:].ravel()])   # _lag_vectors order
+    return _chunked_sum(w * sums, 4 * _LAG_CHUNK)
 
 
 def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: float,
@@ -205,6 +314,7 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: flo
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
+    _require_delta(delta)
     factor = k.scale_c * delta ** p
     if u.ndim == 1:
         raw = _pair_raw_1d(u, spacings[0], k, p, delta)
@@ -337,6 +447,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         x = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
     u_flat = u0.ravel()
+    cuts = _count_cuts(k, delta)
     h_chunk = 64
     chunks = []
     for sig_idx in range(len(sigmas)):
@@ -352,8 +463,12 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         else:
             pts = x[:, None, :] + (delta * hs)[None, :, None] * sig[None, None, :]
         shifted = _polar_eval_shifted(f, pts, clamp_box)
-        args = np.abs(shifted - u_flat[:, None]) / delta
-        per_h = np.sum(_shape_values(k, args), axis=0)
+        diff = shifted - u_flat[:, None]
+        np.abs(diff, out=diff)
+        if cuts is None:
+            per_h = np.sum(_shape_values(k, diff / delta), axis=0)
+        else:
+            per_h = np.count_nonzero(_inside(diff, cuts), axis=0).astype(float)
         return float(np.dot(per_h, h_weights[a:b]))
 
     raw = _tree_sum(_run_chunks(worker, chunks, POLAR_THREADS))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .evaluator import FunctionalParams, lambda_pair, lambda_polar
+from .evaluator import FunctionalParams, _require_delta, lambda_pair, lambda_polar
 from .functions import TestFunction, sobolev_energy, unit_step
 from .kernels import Kernel, band_kernel, indicator_kernel, normalize
 
@@ -105,8 +105,8 @@ def _check_deltas(delta_list) -> list[float]:
     ds = [float(d) for d in delta_list]
     if not ds:
         raise ParameterError("empty delta list")
-    if any(d <= 0 for d in ds):
-        raise ParameterError("deltas must be positive")
+    for d in ds:
+        _require_delta(d)
     if any(d1 <= d2 for d1, d2 in zip(ds, ds[1:])):
         raise ParameterError("delta list must be strictly decreasing")
     return ds

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import pair_sum_on_samples, sample_midpoints
+from .evaluator import _require_delta, pair_sum_on_samples, sample_midpoints
 from .experiments import SweepReport, _require_resolution, delta_sweep
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _shape_values
@@ -64,8 +64,9 @@ class KappaProblem:
     profile: TestFunction | None = None   # override: e.g. an affine on a dilated box
 
     def __post_init__(self):
-        if self.delta <= 0 or self.p < 1:
-            raise ParameterError("need delta > 0 and p >= 1")
+        _require_delta(self.delta)
+        if self.p < 1:
+            raise ParameterError("need p >= 1")
         if self.d not in (1, 2):
             raise ParameterError("d must be 1 or 2")
         if self.iterations < 0 or self.restarts < 1:
@@ -328,8 +329,8 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
     from .evaluator import FunctionalParams, lambda_pair
 
     ds = [float(d) for d in delta_list]
-    if any(d <= 0 for d in ds):
-        raise ParameterError("deltas must be positive")
+    for d in ds:
+        _require_delta(d)
     g_samples, spac = sample_midpoints(g, grid_n)
     cell_vol = float(np.prod(spac))
     energy = sobolev_energy(g, p)

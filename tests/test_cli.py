@@ -356,3 +356,26 @@ def test_boundary_errors_exit_2(tmp_path, case):
     assert res.returncode == 2, res.stdout
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("case", ["eval-delta-nan", "eval-delta-inf", "sweep-delta-nan",
+                                  "step-divergence-n_list-1e400"])
+def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
+    # each used to hang, blame the kernel, or end in an OverflowError traceback
+    sub, text, message = {
+        "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
+                           "delta must be finite and positive"),
+        "eval-delta-inf": ("eval", AFFINE_EVAL + "delta = inf\ngrid_n = 256\n",
+                           "delta must be finite and positive"),
+        "sweep-delta-nan": ("sweep", SWEEP_CONF.replace("0.4, 0.2, 0.1", "0.1, nan"),
+                            "delta must be finite and positive"),
+        "step-divergence-n_list-1e400": ("step-divergence",
+                                         "p = 2\ndelta = 0.1\nn_list = 512, 1e400\n",
+                                         "'n_list': expected an integer"),
+    }[case]
+    conf = write_config(tmp_path, text)
+    res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
+    assert res.returncode == 2, res.stdout
+    assert res.stderr.startswith("error:")
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr

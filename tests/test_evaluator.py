@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nlsobolev as nl
 from nlsobolev.errors import ContractError, ParameterError
@@ -77,6 +79,140 @@ def test_pair_threads_bitwise_equal():
     k = nl.indicator_kernel()
     vals = {pair_sum_on_samples(u, (0.01,), k, 2.0, 0.2, threads=t) for t in (1, 2, 4, 8)}
     assert len(vals) == 1
+
+
+# ----------------------------------------------------------------------
+# exact counts for the 0/1 kernels against the division form
+# ----------------------------------------------------------------------
+
+def _division_form(fn, *args):
+    """fn(*args) with _count_cuts disabled: every kernel sums shape(|du|/delta)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_count_cuts", lambda k, delta: None)
+        return fn(*args)
+
+
+def _with_block(fn, *args, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_BLOCK", block)
+        return fn(*args)
+
+
+_ZERO_ONE_KERNELS = st.sampled_from([
+    nl.indicator_kernel(), nl.indicator_kernel(threshold=0.5),
+    nl.indicator_kernel(threshold=3.0), nl.band_kernel(1.0, 2.0),
+    nl.band_kernel(0.5, 3.0), nl.band_kernel(1.0, math.inf),
+])
+# lattice steps q and delta = q * r: |du| / delta often lands exactly on an edge
+# (dyadic q), or within an ulp of it (q = 0.1, 1/3)
+_LATTICE = st.tuples(st.sampled_from([0.25, 0.1, 1.0 / 3.0, 3.0]),
+                     st.sampled_from([1.0, 0.5, 2.0, 1.0 / 3.0, 0.1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=_ZERO_ONE_KERNELS, lattice=_LATTICE,
+       ints=st.lists(st.integers(-6, 6), min_size=2, max_size=80))
+def test_count_path_bitwise_equals_division_form_1d(k, lattice, ints):
+    q, r = lattice
+    u = np.array(ints) * q
+    args = (u, (0.01,), k, 2.0, q * r)
+    assert pair_sum_on_samples(*args) == _division_form(pair_sum_on_samples, *args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=_ZERO_ONE_KERNELS, lattice=_LATTICE,
+       shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+       block=st.sampled_from([1, 40, 1000]), seed=st.integers(0, 2 ** 16))
+def test_count_path_bitwise_equals_division_form_2d(k, lattice, shape, block, seed):
+    # small _BLOCK values split each my into many row and column blocks
+    q, r = lattice
+    u = np.random.default_rng(seed).integers(-4, 5, size=shape) * q
+    args = (u, (0.1, 0.05), k, 2.5, q * r)
+    want = _division_form(pair_sum_on_samples, *args)
+    assert _with_block(pair_sum_on_samples, *args, block=block) == want
+
+
+@pytest.mark.parametrize("k", [nl.indicator_kernel(), nl.band_kernel(1.0, 2.0)])
+def test_count_path_bitwise_equals_division_form_2d_default_block(k):
+    # 48^3 |du| values at my = 0: several blocks per my at the default _BLOCK
+    u = np.random.default_rng(17).integers(-4, 5, size=(48, 48)) * 0.1
+    args = (u, (1 / 48, 1 / 48), k, 2.0, 0.2)
+    assert 48 ** 3 > evaluator._BLOCK
+    assert pair_sum_on_samples(*args) == _division_form(pair_sum_on_samples, *args)
+
+
+@pytest.mark.parametrize("k", [nl.indicator_kernel(), nl.indicator_kernel(threshold=2.0),
+                               nl.band_kernel(1.0, 2.0), nl.band_kernel(0.5, math.inf)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_count_path_bitwise_equals_division_form_polar(k, dim):
+    if dim == 1:
+        # lattice levels: at delta = 0.5 the jumps give |du| / delta = 1, 1.5, 2, 3
+        f = nl.step_function([-0.5, 0.0, 0.5, 0.75], [0.0, 0.5, 1.5, 0.75, 0.0],
+                             nl.whole_space([-1.0], [1.0], padding=1.0))
+        params = nl.FunctionalParams(p=2.0, delta=0.5, grid_n=256, polar_h_steps=128)
+    else:
+        x = np.linspace(-1.0, 1.0, 17)
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        f = nl.grid_function(np.where(r2 < 1.0, np.round(4 * (1.0 - r2)) / 4, 0.0),
+                             [-1.0, -1.0], 0.125, flavor="whole-space", padding=1.0)
+        params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=64,
+                                     polar_angle_steps=8)
+    got = nl.lambda_polar(f, k, params).value
+    assert got > 0.0
+    assert got == _division_form(nl.lambda_polar, f, k, params).value
+
+
+_EDGES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
+                   allow_infinity=False, allow_subnormal=True)
+_DELTAS = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,
+                    allow_infinity=False, allow_subnormal=True)
+
+
+def _is_cut(a, pred):
+    """a is the smallest double >= 0 where the monotone pred holds."""
+    return pred(a) and (a == 0.0 or not pred(math.nextafter(a, 0.0)))
+
+
+def _normal(*xs):
+    return all(2.3e-308 < x < 1e307 for x in xs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(threshold=_EDGES, delta=_DELTAS)
+def test_count_cuts_indicator_defining_property(threshold, delta):
+    cuts = evaluator._count_cuts(nl.indicator_kernel(threshold=threshold), delta)
+    if _normal(threshold, delta, threshold * delta):
+        assert cuts is not None
+    if cuts is not None:
+        lo, hi = cuts
+        assert hi is None
+        assert _is_cut(lo, lambda a: a / delta > threshold)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo_edge=_EDGES, width=st.floats(1.0 + 2 ** -52, 1e6), delta=_DELTAS,
+       open_top=st.booleans())
+def test_count_cuts_band_defining_property(lo_edge, width, delta, open_top):
+    hi_edge = math.inf if open_top else lo_edge * width
+    assume(hi_edge > lo_edge)
+    cuts = evaluator._count_cuts(nl.band_kernel(lo_edge, hi_edge), delta)
+    if _normal(lo_edge, hi_edge, delta, lo_edge * delta, hi_edge * delta):
+        assert cuts is not None
+    if cuts is not None:
+        lo, hi = cuts
+        assert _is_cut(lo, lambda a: a / delta > lo_edge)
+        assert _is_cut(hi, lambda a: a / delta >= hi_edge)
+
+
+def test_count_cuts_terminate_on_non_finite_edges_and_deltas():
+    # the cut search ends for every edge and delta; a missing cut means the division form
+    for delta in (math.nan, math.inf, -1.0, 0.0):
+        assert evaluator._count_cuts(nl.indicator_kernel(), delta) is None
+    assert evaluator._count_cuts(nl.indicator_kernel(threshold=math.inf), 0.5) is None
+    assert evaluator._count_cuts(nl.band_kernel(1.0, math.inf), 2.0)[1] == math.inf
+    lo, hi = evaluator._count_cuts(nl.band_kernel(1.0, math.inf), 0.5)
+    assert hi / 0.5 == math.inf and math.nextafter(hi, 0.0) / 0.5 < math.inf
+    assert evaluator._count_cuts(nl.envelope_kernel(0.8, 1.1, 2.0), 0.5) is None
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +440,21 @@ def test_params_validation():
         nl.FunctionalParams(p=2.0, delta=0.1, grid_n=8)
     with pytest.raises(ParameterError):
         nl.FunctionalParams(p=2.0, delta=0.1, diagonal_policy="drop")
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_non_finite_delta_rejected(delta):
+    k = nl.indicator_kernel()
+    f = nl.affine_function([1.0], 0.0, nl.bounded_box([0.0], [1.0]))
+    calls = [
+        lambda: nl.FunctionalParams(p=2.0, delta=delta),
+        lambda: nl.KappaProblem(kernel=k, delta=delta, grid_n=64),
+        lambda: pair_sum_on_samples(np.zeros(8), (0.1,), k, 2.0, delta),
+        lambda: nl.delta_sweep(f, k, 2.0, [0.2, delta], grid_n=64),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="delta must be finite and positive"):
+            call()
 
 
 def test_sample_midpoints_layout():
