@@ -19,9 +19,13 @@ h^-(p+1)) and certifies the omitted head and tail analytically.
 Determinism: all reductions run over a fixed chunking of the term index
 space, combined by a fixed-order pairwise tree.  Pair sums run serially;
 polar chunks run on ``POLAR_THREADS`` threads, bit-identical at any width.
-For the 0/1 kernels (indicator, band) every per-lag and per-h sum is an
-exact integer count of |du| against cuts precomputed from the kernel's
-edges and delta (no division), equal bit for bit to the division form.
+One pair core serves the pair sums, the polar scheme and the kappa moves
+of ``gamma_limit``: one lag-weight table (``_lag_weights``), one rule for
+kernel terms on |du| (``_KernelTerms``) and, in 2-D, one blocked lag
+traversal for every kernel.  For the 0/1 kernels (indicator, band) every
+sum is an exact integer count of |du| against cuts precomputed from the
+kernel's edges and delta (no division), equal bit for bit to the division
+form; other kernels sum shape(|du|/delta) in the traversal's fixed order.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .functions import TestFunction, _values_at, dilate
-from .kernels import Kernel, _shape_values, bound_constant, growth_constant
+from .kernels import Kernel, _require_delta, _shape_values, bound_constant, growth_constant
 
 __all__ = [
     "FunctionalParams",
@@ -56,12 +60,6 @@ _CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving
 _DBL_MAX = sys.float_info.max
 POLAR_THREADS = os.cpu_count() or 1   # polar pool width; the pair sums are serial
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}   # |S^(d-1)| with counting measure at d=1
-
-
-def _require_delta(delta: float) -> None:
-    """Refuse a delta that is not finite and positive (nan included)."""
-    if not 0.0 < delta < math.inf:
-        raise ParameterError("delta must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def _chunked_sum(terms: np.ndarray, chunk: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# exact counts for the 0/1 kernels
+# kernel terms on |du|: exact counts for the 0/1 kernels
 # ----------------------------------------------------------------------
 
 def _cut(pred, guess: float):
@@ -211,20 +209,60 @@ def _count_cuts(k: Kernel, delta: float):
     return None if hi is None else (lo, hi)
 
 
-def _inside(a: np.ndarray, cuts, out=None) -> np.ndarray:
-    """Mask of the |du| values in [lo, hi): where the 0/1 shape is 1."""
-    lo, hi = cuts
-    out = np.greater_equal(a, lo, out=out)
-    if hi is not None:
-        out &= a < hi
-    return out
+class _KernelTerms:
+    """shape(a / delta) on arrays a of |du| values: the one rule every sum uses.
+
+    The 0/1 kernels count a in [lo, hi), the cuts of ``_count_cuts``;
+    every other kernel, and a 0/1 kernel whose cuts the search missed,
+    takes the division form.  Both forms give the same bits.
+    """
+
+    def __init__(self, k: Kernel, delta: float):
+        self.k, self.delta = k, delta
+        self.cuts = _count_cuts(k, delta)
+
+    def _inside(self, a: np.ndarray, out=None) -> np.ndarray:
+        lo, hi = self.cuts
+        out = np.greater_equal(a, lo, out=out)
+        if hi is not None:
+            out &= a < hi
+        return out
+
+    def values(self, a: np.ndarray) -> np.ndarray:
+        """Per-element shape values, as floats."""
+        if self.cuts is None:
+            return _shape_values(self.k, a / self.delta)
+        return self._inside(a).astype(float)
+
+    def sum(self, a: np.ndarray, axis=None, mask=None):
+        """Sum of the shape values over ``axis``; ``mask`` is a bool scratch buffer."""
+        if self.cuts is None:
+            return np.sum(_shape_values(self.k, a / self.delta), axis=axis)
+        return np.count_nonzero(self._inside(a, mask), axis=axis)
 
 
 # ----------------------------------------------------------------------
 # pair scheme
 # ----------------------------------------------------------------------
 
-def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float) -> float:
+def _lag_weights(shape, spacings, p: float) -> np.ndarray:
+    """Pair weight 2 |dx|^-(p+d) cell^2 of every lag, indexed by absolute lag.
+
+    w[m] in 1-D and w[|mx|, my] in 2-D, with 0 at the zero lag.  The
+    pair sums and the kappa moves read this one table.
+    """
+    if len(shape) == 1:
+        (n,), (h,) = shape, spacings
+        w = np.zeros(n)
+        w[1:] = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
+        return w
+    (n0, n1), (hx, hy) = shape, spacings
+    cell2 = (hx * hy) ** 2
+    return np.array([[2.0 * math.hypot(mx * hx, my * hy) ** (-(p + 2.0)) * cell2
+                      if mx or my else 0.0 for my in range(n1)] for mx in range(n0)])
+
+
+def _pair_raw_1d(u: np.ndarray, h: float, terms: _KernelTerms, p: float) -> float:
     """Sum over ordered cell pairs of shape(|du|/delta) * |dx|^-(p+1) * h^2.
 
     Pairs are grouped by lag; the symmetric factor 2 makes the result
@@ -232,48 +270,26 @@ def _pair_raw_1d(u: np.ndarray, h: float, k: Kernel, p: float, delta: float) -> 
     applied by the caller.
     """
     n = u.size
-    w = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
-    cuts = _count_cuts(k, delta)
     sums = np.empty(n - 1)
     buf = np.empty(n - 1)
     mask = np.empty(n - 1, dtype=bool)
     for m in range(1, n):
         d = np.subtract(u[m:], u[: n - m], out=buf[: n - m])
         np.abs(d, out=d)
-        if cuts is None:
-            sums[m - 1] = np.sum(_shape_values(k, d / delta))
-        else:
-            sums[m - 1] = np.count_nonzero(_inside(d, cuts, mask[: n - m]))
-    return _chunked_sum(w * sums, _LAG_CHUNK)
+        sums[m - 1] = terms.sum(d, mask=mask[: n - m])
+    return _chunked_sum(_lag_weights((n,), (h,), p)[1:] * sums, _LAG_CHUNK)
 
 
-def _lag_vectors(n0: int, n1: int):
-    """Half-plane lag vectors (mx, my) covering each unordered offset once."""
-    out = [(mx, 0) for mx in range(1, n0)]
-    for my in range(1, n1):
-        out.extend((mx, my) for mx in range(-(n0 - 1), n0))
-    return out
-
-
-def _lag_sums_2d(u: np.ndarray, k: Kernel, delta: float) -> np.ndarray:
+def _lag_sums_2d(u: np.ndarray, terms: _KernelTerms) -> np.ndarray:
     """s[my, mx + n0 - 1]: sum of shape(|du|/delta) over the pairs at lag (mx, my).
 
     A pair at lag (mx, my) is u[i', j + my] - u[i, j] with mx = i' - i.
-    For a 0/1 kernel one pass per my counts a block of row pairs (i', i)
-    at once, at most _BLOCK elements, and np.bincount files the counts
-    under mx; other kernels sum shape values lag by lag.
+    One pass per my takes a block of row pairs (i', i) at once, at most
+    _BLOCK elements, sums along the row, and np.bincount files the row
+    sums under mx.
     """
     n0, n1 = u.shape
-    cuts = _count_cuts(k, delta)
     s = np.zeros((n1, 2 * n0 - 1))
-    if cuts is None:
-        for mx, my in _lag_vectors(n0, n1):
-            if mx >= 0:
-                d = u[mx:, my:] - u[: n0 - mx, : n1 - my]
-            else:
-                d = u[:mx, my:] - u[-mx:, : n1 - my]
-            s[my, mx + n0 - 1] = np.sum(_shape_values(k, np.abs(d) / delta))
-        return s
     lag_index = np.arange(n0)[:, None] - np.arange(n0)[None, :] + (n0 - 1)
     buf = np.empty(max(_BLOCK, n1))
     mask = np.empty(buf.size, dtype=bool)
@@ -288,22 +304,18 @@ def _lag_sums_2d(u: np.ndarray, k: Kernel, delta: float) -> np.ndarray:
                 size = shape[0] * shape[1] * ln
                 d = np.subtract(a, b, out=buf[:size].reshape(shape))
                 np.abs(d, out=d)
-                cnt = np.count_nonzero(_inside(d, cuts, mask[:size].reshape(shape)),
-                                       axis=2)
+                row = terms.sum(d, axis=2, mask=mask[:size].reshape(shape))
                 s[my] += np.bincount(lag_index[r0:r0 + rows, c0:c0 + cols].ravel(),
-                                     weights=cnt.ravel(), minlength=2 * n0 - 1)
+                                     weights=row.ravel(), minlength=2 * n0 - 1)
     return s
 
 
-def _pair_raw_2d(u: np.ndarray, spac, k: Kernel, p: float, delta: float) -> float:
-    n0, n1 = u.shape
-    hx, hy = spac
-    cell2 = (hx * hy) ** 2
-    w = np.array([2.0 * math.hypot(mx * hx, my * hy) ** (-(p + 2.0)) * cell2
-                  for mx, my in _lag_vectors(n0, n1)])
-    s = _lag_sums_2d(u, k, delta)
-    sums = np.concatenate([s[0, n0:], s[1:].ravel()])   # _lag_vectors order
-    return _chunked_sum(w * sums, 4 * _LAG_CHUNK)
+def _pair_raw_2d(u: np.ndarray, spac, terms: _KernelTerms, p: float) -> float:
+    """Lag sums times weights, in the order mx > 0 at my = 0, then my >= 1 by mx."""
+    n0 = u.shape[0]
+    w = _lag_weights(u.shape, spac, p)[np.abs(np.arange(1 - n0, n0))].T
+    t = w * _lag_sums_2d(u, terms)              # t[my, mx + n0 - 1]
+    return _chunked_sum(np.concatenate([t[0, n0:], t[1:].ravel()]), 4 * _LAG_CHUNK)
 
 
 def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: float,
@@ -315,12 +327,12 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: flo
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     _require_delta(delta)
-    factor = k.scale_c * delta ** p
+    terms = _KernelTerms(k, delta)
     if u.ndim == 1:
-        raw = _pair_raw_1d(u, spacings[0], k, p, delta)
+        raw = _pair_raw_1d(u, spacings[0], terms, p)
     else:
-        raw = _pair_raw_2d(u, spacings, k, p, delta)
-    return factor * raw
+        raw = _pair_raw_2d(u, spacings, terms, p)
+    return k.scale_c * delta ** p * raw
 
 
 def _sampled_lipschitz(u: np.ndarray, spacings) -> float:
@@ -447,7 +459,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         x = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
     u_flat = u0.ravel()
-    cuts = _count_cuts(k, delta)
+    terms = _KernelTerms(k, delta)
     h_chunk = 64
     chunks = []
     for sig_idx in range(len(sigmas)):
@@ -465,10 +477,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         shifted = _polar_eval_shifted(f, pts, clamp_box)
         diff = shifted - u_flat[:, None]
         np.abs(diff, out=diff)
-        if cuts is None:
-            per_h = np.sum(_shape_values(k, diff / delta), axis=0)
-        else:
-            per_h = np.count_nonzero(_inside(diff, cuts), axis=0).astype(float)
+        per_h = terms.sum(diff, axis=0)
         return float(np.dot(per_h, h_weights[a:b]))
 
     raw = _tree_sum(_run_chunks(worker, chunks, POLAR_THREADS))

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .evaluator import FunctionalParams, _require_delta, lambda_pair, lambda_polar
+from .evaluator import FunctionalParams, lambda_pair, lambda_polar
 from .functions import TestFunction, sobolev_energy, unit_step
-from .kernels import Kernel, band_kernel, indicator_kernel, normalize
+from .kernels import Kernel, _require_delta, band_kernel, indicator_kernel, normalize
 
 __all__ = [
     "SweepRow",

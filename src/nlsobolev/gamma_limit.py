@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import _require_delta, pair_sum_on_samples, sample_midpoints
+from .evaluator import _KernelTerms, _lag_weights, pair_sum_on_samples, sample_midpoints
 from .experiments import SweepReport, _require_resolution, delta_sweep
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
-from .kernels import Kernel, _shape_values
+from .kernels import Kernel, _require_delta
 
 __all__ = [
     "KappaProblem",
@@ -71,8 +71,12 @@ class KappaProblem:
             raise ParameterError("d must be 1 or 2")
         if self.iterations < 0 or self.restarts < 1:
             raise ParameterError("need iterations >= 0 and restarts >= 1")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ParameterError("epsilon must be nonnegative")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
+            raise ParameterError("epsilon must be finite and nonnegative")
+        if self.step_init is not None and not 0.0 < self.step_init < math.inf:
+            raise ParameterError("step_init must be finite and positive")
+        if not 0.0 < self.step_shrink < math.inf:
+            raise ParameterError("step_shrink must be finite and positive")
         if self.epsilon == 0.0 and (self.iterations > 0 or self.restarts > 1):
             raise ParameterError("epsilon = 0 leaves no room for perturbations")
         if self.threads < 1:
@@ -111,46 +115,27 @@ def _default_profile(prob: KappaProblem) -> TestFunction:
 class _PairObjective:
     """Lattice functional with O(n) single-coordinate updates.
 
-    The full value agrees bit-for-bit with pair_sum_on_samples on the
-    same array (both group terms by lag); the incremental path tracks a
-    running total that is re-anchored by a full evaluation at the end.
+    ``full`` is pair_sum_on_samples on the same array.  A move reads the
+    pair sum's own lag-weight table and kernel terms, so the running
+    total it tracks drifts from ``full`` only by rounding; the search
+    re-anchors it by a full evaluation at the end.
     """
 
     def __init__(self, k: Kernel, p: float, delta: float, spacings, shape):
         self.k, self.p, self.delta = k, p, delta
         self.spacings = spacings
         self.factor = k.scale_c * delta ** p
-        n = shape[0]
-        self.idx = np.arange(n)
-        if len(shape) == 1:
-            m = np.arange(n, dtype=float)
-            w = np.zeros(n)
-            w[1:] = 2.0 * (m[1:] * spacings[0]) ** (-(p + 1.0)) * spacings[0] ** 2
-            self.w = w
-        else:
-            hx, hy = spacings
-            mx = np.arange(n, dtype=float)[:, None]
-            my = np.arange(shape[1], dtype=float)[None, :]
-            r = np.hypot(mx * hx, my * hy)
-            r[0, 0] = 1.0
-            w = 2.0 * r ** (-(p + 2.0)) * (hx * hy) ** 2
-            w[0, 0] = 0.0
-            self.w = w
+        self.terms = _KernelTerms(k, delta)
+        self.w = _lag_weights(shape, spacings, p)
+        self.idx = np.ix_(*[np.arange(n) for n in shape])   # broadcast per axis
 
     def full(self, v: np.ndarray) -> float:
         return pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta)
 
     def move_delta(self, v: np.ndarray, where, old: float, new: float) -> float:
-        """Objective change when v[where] goes old -> new."""
-        if v.ndim == 1:
-            i = where
-            wrow = self.w[np.abs(self.idx - i)]
-        else:
-            i, j = where
-            wrow = self.w[np.abs(self.idx - i)[:, None], np.abs(self.idx - j)[None, :]]
-        d_new = np.abs(v - new) / self.delta
-        d_old = np.abs(v - old) / self.delta
-        diff = _shape_values(self.k, d_new) - _shape_values(self.k, d_old)
+        """Objective change when v[where] goes old -> new; ``where`` is an index tuple."""
+        wrow = self.w[tuple(np.abs(ix - c) for ix, c in zip(self.idx, where))]
+        diff = self.terms.values(np.abs(v - new)) - self.terms.values(np.abs(v - old))
         return self.factor * float(np.sum(wrow * diff))
 
 
@@ -168,8 +153,6 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     cell_vol = float(np.prod(spac))
     norm_u = discrete_lp_norm(u_ref, cell_vol, prob.p)
     eps = prob.epsilon if prob.epsilon is not None else 0.1 * norm_u
-    if eps < 0:
-        raise ParameterError("epsilon must be nonnegative")
     eps_pow = eps ** prob.p
     step0 = prob.step_init if prob.step_init is not None else prob.delta
 
@@ -203,9 +186,8 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
         for _ in range(prob.iterations):
             it_global += 1
             flat = int(rng.integers(flat_n))
-            where = flat if v.ndim == 1 else divmod(flat, v.shape[1])
-            old = v[where] if v.ndim == 1 else v[where[0], where[1]]
-            ref = u_ref[where] if v.ndim == 1 else u_ref[where[0], where[1]]
+            where = (flat,) if v.ndim == 1 else divmod(flat, v.shape[1])
+            old, ref = v[where], u_ref[where]
             sign = 1.0 if rng.random() < 0.5 else -1.0
             accepted = False
             for sgn in (sign, -sign):
@@ -219,10 +201,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
                     continue
                 gain = obj.move_delta(v, where, old, cand)
                 if s + gain < s:
-                    if v.ndim == 1:
-                        v[where] = cand
-                    else:
-                        v[where[0], where[1]] = cand
+                    v[where] = cand
                     s += gain
                     prox_pow = max(without, 0.0) + cell_vol * abs(cand - ref) ** prob.p
                     accepted = True

@@ -115,7 +115,7 @@ class Kernel:
 
 def indicator_kernel(c: float = 1.0, threshold: float = 1.0) -> Kernel:
     """c * 1_(threshold, inf): zero up to the threshold, constant above."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ParameterError("indicator threshold must be positive")
     return Kernel("indicator", scale_c=c, monotone=True, threshold=threshold)
 
@@ -194,6 +194,12 @@ def envelope_for(k: Kernel, p: float) -> Kernel:
 # evaluation
 # ----------------------------------------------------------------------
 
+def _require_delta(delta: float) -> None:
+    """Refuse a delta that is not finite and positive (nan included)."""
+    if not 0.0 < delta < math.inf:
+        raise ParameterError("delta must be finite and positive")
+
+
 def _tabulated_values(k: Kernel, t: np.ndarray) -> np.ndarray:
     kts = np.asarray(k.knots)
     vals = np.asarray(k.values)
@@ -241,8 +247,7 @@ def eval_kernel(k: Kernel, t):
 
 def scaled_kernel_eval(k: Kernel, p: float, delta: float, t):
     """Rescaled kernel phi_delta(t) = delta^p * phi(t / delta)."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    _require_delta(delta)
     if p <= 0:
         raise ParameterError("p must be positive")
     arr = np.asarray(t, dtype=float)

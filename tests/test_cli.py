@@ -358,10 +358,27 @@ def test_boundary_errors_exit_2(tmp_path, case):
     assert "Traceback" not in res.stderr
 
 
+KAPPA_CONF = """
+kernel.shape = indicator
+kernel.normalize = true
+p = 2.0
+d = 1
+delta = 0.1
+grid_n = 512
+kappa.iterations = 300
+kappa.restarts = 2
+kappa.patience = 5
+"""
+
+
 @pytest.mark.parametrize("case", ["eval-delta-nan", "eval-delta-inf", "sweep-delta-nan",
-                                  "step-divergence-n_list-1e400"])
+                                  "step-divergence-n_list-1e400", "kappa-step_init-nan",
+                                  "kappa-step_shrink-nan", "kappa-epsilon-nan",
+                                  "eval-threshold-nan"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
-    # each used to hang, blame the kernel, or end in an OverflowError traceback
+    # each used to hang, blame the kernel, end in an OverflowError traceback, or
+    # exit 0: a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon
+    # disables the search, a NaN indicator threshold gives value 0
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -372,6 +389,15 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
         "step-divergence-n_list-1e400": ("step-divergence",
                                          "p = 2\ndelta = 0.1\nn_list = 512, 1e400\n",
                                          "'n_list': expected an integer"),
+        "kappa-step_init-nan": ("kappa", KAPPA_CONF + "kappa.step_init = nan\n",
+                                "step_init must be finite and positive"),
+        "kappa-step_shrink-nan": ("kappa", KAPPA_CONF + "kappa.step_shrink = nan\n",
+                                  "step_shrink must be finite and positive"),
+        "kappa-epsilon-nan": ("kappa", KAPPA_CONF + "kappa.epsilon = nan\n",
+                              "epsilon must be finite and nonnegative"),
+        "eval-threshold-nan": ("eval", "kernel.shape = indicator\nkernel.threshold = nan\n"
+                                       "function.kind = affine\ndelta = 0.1\ngrid_n = 256\n",
+                               "indicator threshold must be positive"),
     }[case]
     conf = write_config(tmp_path, text)
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))

@@ -11,6 +11,7 @@ import nlsobolev as nl
 from nlsobolev.errors import ContractError, ParameterError
 from nlsobolev import evaluator
 from nlsobolev.evaluator import pair_sum_on_samples, sample_midpoints
+from nlsobolev.gamma_limit import _PairObjective
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +99,16 @@ def _with_block(fn, *args, block):
         return fn(*args)
 
 
+def _move_gains(u, spacings, k, p, delta, step):
+    """Kappa-move gains of the first, middle and last cell, by +step and -2 step."""
+    obj = _PairObjective(k, p, delta, spacings, u.shape)   # built inside _division_form
+    gains = []
+    for flat in (0, u.size // 2, u.size - 1):
+        where = (flat,) if u.ndim == 1 else divmod(flat, u.shape[1])
+        gains += [obj.move_delta(u, where, u[where], u[where] + s * step) for s in (1, -2)]
+    return gains
+
+
 _ZERO_ONE_KERNELS = st.sampled_from([
     nl.indicator_kernel(), nl.indicator_kernel(threshold=0.5),
     nl.indicator_kernel(threshold=3.0), nl.band_kernel(1.0, 2.0),
@@ -117,6 +128,7 @@ def test_count_path_bitwise_equals_division_form_1d(k, lattice, ints):
     u = np.array(ints) * q
     args = (u, (0.01,), k, 2.0, q * r)
     assert pair_sum_on_samples(*args) == _division_form(pair_sum_on_samples, *args)
+    assert _move_gains(*args, q) == _division_form(_move_gains, *args, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,6 +142,7 @@ def test_count_path_bitwise_equals_division_form_2d(k, lattice, shape, block, se
     args = (u, (0.1, 0.05), k, 2.5, q * r)
     want = _division_form(pair_sum_on_samples, *args)
     assert _with_block(pair_sum_on_samples, *args, block=block) == want
+    assert _move_gains(*args, q) == _division_form(_move_gains, *args, q)
 
 
 @pytest.mark.parametrize("k", [nl.indicator_kernel(), nl.band_kernel(1.0, 2.0)])
@@ -160,6 +173,51 @@ def test_count_path_bitwise_equals_division_form_polar(k, dim):
     got = nl.lambda_polar(f, k, params).value
     assert got > 0.0
     assert got == _division_form(nl.lambda_polar, f, k, params).value
+
+
+# ----------------------------------------------------------------------
+# one pair core: the kappa moves read the pair sum's weights and terms
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(56, 56), (32, 48)])
+def test_move_weights_bitwise_equal_pair_weights_2d(shape):
+    n0, n1 = shape
+    spac = (1.0 / n0, 1.0 / n1)
+    k = nl.band_kernel(1.0, 2.0)
+    # the weight the pair sum applies to each lag: lag sums forced to 1, per-lag terms captured
+    applied = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_lag_sums_2d", lambda *a: np.ones((n1, 2 * n0 - 1)))
+        mp.setattr(evaluator, "_chunked_sum", lambda terms, chunk: applied.append(terms) or 0.0)
+        pair_sum_on_samples(np.zeros(shape), spac, k, 2.0, 1.0)
+    lags = [(mx, 0) for mx in range(1, n0)]
+    lags += [(mx, my) for my in range(1, n1) for mx in range(1 - n0, n0)]
+    assert len(applied[0]) == len(lags)
+    # the weight a move applies: with the band (1, 2) at delta = 1, moving v[i, j]
+    # from 0 to 0.5 next to v[a, b] = 2 changes only that pair's term, by exactly 1
+    obj = _PairObjective(k, 2.0, 1.0, spac, shape)
+    v = np.zeros(shape)
+    for (mx, my), w in zip(lags, applied[0]):
+        i = 0 if mx >= 0 else n0 - 1
+        v[i + mx, my] = 2.0
+        assert obj.move_delta(v, (i, 0), 0.0, 0.5) == w, (mx, my)
+        v[i + mx, my] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(512,), (24, 24)])
+@pytest.mark.parametrize("k", [nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)])
+def test_move_running_total_tracks_full(shape, k):
+    rng = np.random.default_rng(22)
+    v = rng.uniform(0.0, 1.0, shape)
+    obj = _PairObjective(k, 2.0, 0.1, tuple(1.0 / n for n in shape), shape)
+    total = obj.full(v)
+    for _ in range(200):
+        flat = int(rng.integers(v.size))
+        where = (flat,) if v.ndim == 1 else divmod(flat, shape[1])
+        new = v[where] + rng.normal(0.0, 0.1)
+        total += obj.move_delta(v, where, v[where], new)
+        v[where] = new
+    assert total == pytest.approx(obj.full(v), rel=1e-13)
 
 
 _EDGES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
@@ -451,6 +509,7 @@ def test_non_finite_delta_rejected(delta):
         lambda: nl.KappaProblem(kernel=k, delta=delta, grid_n=64),
         lambda: pair_sum_on_samples(np.zeros(8), (0.1,), k, 2.0, delta),
         lambda: nl.delta_sweep(f, k, 2.0, [0.2, delta], grid_n=64),
+        lambda: nl.scaled_kernel_eval(k, 2.0, delta, 0.5),
     ]
     for call in calls:
         with pytest.raises(ParameterError, match="delta must be finite and positive"):
