@@ -36,7 +36,8 @@ from .evaluator import (EvalResult, FunctionalParams, dilation_check, lambda_pai
                         scaling_check)
 from .experiments import (GrowthReport, GrowthRow, SweepReport, SweepRow,
                           band_pathology, delta_sweep, step_divergence,
-                          write_growth_csv, write_meta, write_sweep_csv)
+                          write_csv, write_growth_csv, write_meta,
+                          write_sweep_csv)
 from .gamma_limit import (KappaProblem, KappaReport, PerturbationFamily,
                           ProbeReport, ProbeRow, kappa_estimate,
                           lower_bound_probe, recovery_upper_bound,

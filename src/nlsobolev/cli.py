@@ -12,7 +12,7 @@ Subcommands map onto the library operations:
 
 Every run writes <prefix>.csv and <prefix>.meta.json and prints a
 one-line summary.  Exit codes: 0 success, 1 validation failure,
-2 parameter/contract/config/I-O error.
+2 parameter/contract/config/I-O error, 3 internal error (a bug).
 
 Config lines are `key = value` with dotted sections, e.g.::
 
@@ -33,10 +33,10 @@ byte-for-byte (the meta file carries wall time and may differ).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -230,29 +230,17 @@ def _polar_settings(cfg: dict) -> dict:
     return out
 
 
-def _write_single_csv(path, header, rows):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([tok if isinstance(tok, str) else experiments.format_cell(tok)
-                        for tok in row])
-
-
-def _meta(cfg, args, extra=None, polar=False):
-    meta = {"config": dict(cfg), "subcommand": args.subcommand,
-            "threads": evaluator.POLAR_THREADS if polar else 1, "seed": args.seed}
-    if extra:
-        meta.update(extra)
-    return meta
+def _threads(scheme: str) -> int:
+    """Thread count for meta.json: the polar pool's width, else 1 (serial pair sums)."""
+    return evaluator.POLAR_THREADS if scheme == "polar" else 1
 
 
 # ----------------------------------------------------------------------
-# subcommand runners (return exit status)
+# subcommand runners: each writes its CSV and returns
+# (meta keys, summary line, exit status); main records the run
 # ----------------------------------------------------------------------
 
-def _run_validate_kernel(cfg, args) -> int:
+def _run_validate_kernel(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     d = _get_int(cfg, "d", 1)
     k = build_kernel(cfg, d, p)
@@ -263,18 +251,15 @@ def _run_validate_kernel(cfg, args) -> int:
         ["monotone", str(report.cond_monotone_ok).lower(), math.nan],
         ["normalized", str(report.cond_normalized_ok).lower(), report.normalization_value],
     ]
-    _write_single_csv(args.out + ".csv", ["check", "ok", "detail"], rows)
-    experiments.write_meta(_meta(cfg, args, {"kernel": k.describe()}),
-                           args.out + ".meta.json")
+    experiments.write_csv(args.out + ".csv", ["check", "ok", "detail"], rows)
+    meta = {"kernel": k.describe()}
     if report.all_ok:
-        print(f"validate-kernel PASS normalization_value="
-              f"{report.normalization_value:.12g}")
-        return 0
-    print(f"validate-kernel FAIL ({', '.join(report.failures())})")
-    return 1
+        return meta, (f"validate-kernel PASS normalization_value="
+                      f"{report.normalization_value:.12g}"), 0
+    return meta, f"validate-kernel FAIL ({', '.join(report.failures())})", 1
 
 
-def _run_eval(cfg, args) -> int:
+def _run_eval(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     d = _get_int(cfg, "d", 1)
     k = build_kernel(cfg, d, p)
@@ -294,18 +279,15 @@ def _run_eval(cfg, args) -> int:
         raise ConfigError(f"unknown scheme {scheme!r}")
     energy = functions.sobolev_energy(f, p)
     ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else math.inf
-    _write_single_csv(args.out + ".csv",
-                      ["delta", "value", "tail_bound", "energy", "ratio"],
-                      [[delta, res.value, res.tail_bound, energy, ratio]])
-    experiments.write_meta(_meta(cfg, args, {"kernel": k.describe(),
-                                             "function": f.describe(),
-                                             "scheme": scheme}, scheme == "polar"),
-                           args.out + ".meta.json")
-    print(f"eval value={res.value:.17g} tail_bound={res.tail_bound:.3g}")
-    return 0
+    experiments.write_csv(args.out + ".csv",
+                          ["delta", "value", "tail_bound", "energy", "ratio"],
+                          [[delta, res.value, res.tail_bound, energy, ratio]])
+    return ({"threads": _threads(scheme), "kernel": k.describe(),
+             "function": f.describe(), "scheme": scheme},
+            f"eval value={res.value:.17g} tail_bound={res.tail_bound:.3g}", 0)
 
 
-def _run_sweep(cfg, args) -> int:
+def _run_sweep(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     d = _get_int(cfg, "d", 1)
     k = build_kernel(cfg, d, p)
@@ -318,42 +300,38 @@ def _run_sweep(cfg, args) -> int:
         allow_bounded_polar=_get_bool(cfg, "polar.allow_bounded"),
         polar_settings=_polar_settings(cfg))
     experiments.write_sweep_csv(report, args.out + ".csv")
-    experiments.write_meta(_meta(cfg, args, report.metadata, scheme == "polar"),
-                           args.out + ".meta.json")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
-    print(f"sweep rows={len(report.rows)} last_delta={last.delta:g} "
-          f"last_value={last.value:.12g} "
-          f"bound_ratio={bound if bound is None else format(bound, '.6g')}")
-    return 0
+    return ({"threads": _threads(scheme), **report.metadata},
+            f"sweep rows={len(report.rows)} last_delta={last.delta:g} "
+            f"last_value={last.value:.12g} "
+            f"bound_ratio={bound if bound is None else format(bound, '.6g')}", 0)
 
 
-def _run_pathology(cfg, args) -> int:
+def _run_pathology(cfg, args):
     if "delta_list" in cfg:
         deltas = _get_list(cfg, "delta_list")
     else:
         deltas = [_get_float(cfg, "delta", 0.25)]
     report = experiments.band_pathology(deltas, grid_n=_get_int(cfg, "grid_n", 1024))
     experiments.write_sweep_csv(report, args.out + ".csv")
-    experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")
     smallest = report.rows[-1]
-    print(f"pathology delta={smallest.delta:g} value={smallest.value:.17g}")
-    return 0
+    return (report.metadata,
+            f"pathology delta={smallest.delta:g} value={smallest.value:.17g}", 0)
 
 
-def _run_step_divergence(cfg, args) -> int:
+def _run_step_divergence(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     delta = _get_float(cfg, "delta", 0.1)
     ns = [_as_int("n_list", n) for n in _get_list(cfg, "n_list", [1024, 2048, 4096, 8192])]
     report = experiments.step_divergence(p, delta, ns)
     experiments.write_growth_csv(report, args.out + ".csv")
-    experiments.write_meta(_meta(cfg, args, report.metadata), args.out + ".meta.json")
-    print(f"step-divergence final_ratio={report.final_ratio:.6g} "
-          f"diverging={str(report.divergence_flag).lower()}")
-    return 0
+    return (report.metadata,
+            f"step-divergence final_ratio={report.final_ratio:.6g} "
+            f"diverging={str(report.divergence_flag).lower()}", 0)
 
 
-def _run_kappa(cfg, args) -> int:
+def _run_kappa(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     d = _get_int(cfg, "d", 1)
     k = build_kernel(cfg, d, p)
@@ -370,13 +348,12 @@ def _run_kappa(cfg, args) -> int:
         seed=args.seed)
     report = gamma_limit.kappa_estimate(prob)
     gamma_limit.write_trace_csv(report, args.out + ".csv")
-    experiments.write_meta(_meta(cfg, args, report.summary()), args.out + ".meta.json")
-    print(f"kappa kappa_hat={report.kappa_hat:.12g} baseline={report.baseline:.12g} "
-          f"proximity={report.final_proximity:.6g}")
-    return 0
+    return (report.summary(),
+            f"kappa kappa_hat={report.kappa_hat:.12g} baseline={report.baseline:.12g} "
+            f"proximity={report.final_proximity:.6g}", 0)
 
 
-def _run_cross_check(cfg, args) -> int:
+def _run_cross_check(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     d = _get_int(cfg, "d", 1)
     k = build_kernel(cfg, d, p)
@@ -401,15 +378,13 @@ def _run_cross_check(cfg, args) -> int:
         worst = max(worst, gap / ref)
         # an infinite certificate would allow any gap, so it cannot pass
         ok = ok and math.isfinite(tail) and gap <= tail + budget * ref
-    _write_single_csv(args.out + ".csv",
-                      ["delta", "pair_value", "polar_value", "combined_tail",
-                       "rel_gap"], rows)
-    experiments.write_meta(_meta(cfg, args, {"kernel": k.describe(),
-                                             "function": f.describe(),
-                                             "budget": budget}, polar=True),
-                           args.out + ".meta.json")
-    print(f"cross-check {'PASS' if ok else 'FAIL'} worst_rel_gap={worst:.6g}")
-    return 0 if ok else 1
+    experiments.write_csv(args.out + ".csv",
+                          ["delta", "pair_value", "polar_value", "combined_tail",
+                           "rel_gap"], rows)
+    return ({"threads": _threads("polar"), "kernel": k.describe(),
+             "function": f.describe(), "budget": budget},
+            f"cross-check {'PASS' if ok else 'FAIL'} worst_rel_gap={worst:.6g}",
+            0 if ok else 1)
 
 
 _RUNNERS = {
@@ -441,25 +416,23 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is None:
             args.seed = _get_int(cfg, "seed", 0)
-        status = _RUNNERS[args.subcommand](cfg, args)
+        meta, line, status = _RUNNERS[args.subcommand](cfg, args)
+        # runner keys update these in place ("threads" for the polar pool,
+        # "seed" for kappa), so the record's key order is fixed
+        experiments.write_meta({"config": cfg, "subcommand": args.subcommand,
+                                "threads": 1, "seed": args.seed, **meta,
+                                "wall_time_s": time.perf_counter() - start},
+                               args.out + ".meta.json")
     except (ConfigError, ParameterError, ResolutionError, ContractError,
             DomainError, KernelValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _append_wall_time(args.out + ".meta.json", time.perf_counter() - start)
+    except Exception as exc:
+        print(f"internal error: {exc!r}\n{traceback.format_exc()}", end="",
+              file=sys.stderr)
+        return 3
+    print(line)
     return status
-
-
-def _append_wall_time(path, seconds):
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return
-    meta["wall_time_s"] = seconds
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
 
 
 if __name__ == "__main__":

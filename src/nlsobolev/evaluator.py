@@ -81,11 +81,10 @@ class FunctionalParams:
     threads: int = 1     # accepted and validated; results never depend on it
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise ParameterError("p must be >= 1 (p = 1 is exploration mode)")
         _require_delta(self.delta)
-        if self.grid_n < 16:
-            raise ParameterError("grid_n must be at least 16")
+        _require_grid_n(self.grid_n)
         if self.diagonal_policy not in ("exclude-cell", "exclude-and-bound"):
             raise ParameterError(f"unknown diagonal policy {self.diagonal_policy!r}")
         if not (0 < self.polar_h_min < self.polar_h_max):
@@ -94,6 +93,11 @@ class FunctionalParams:
             raise ParameterError("polar step counts too small")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
+
+
+def _require_grid_n(n: int):
+    if not n >= 16:
+        raise ParameterError("grid_n must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -323,16 +327,21 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: flo
     """Midpoint pair quadrature on pre-sampled values (same-cell terms skipped).
 
     The sum is serial; ``threads`` is validated for callers that pass it.
+    Raises ParameterError when the sum is not finite.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     _require_delta(delta)
     terms = _KernelTerms(k, delta)
-    if u.ndim == 1:
-        raw = _pair_raw_1d(u, spacings[0], terms, p)
-    else:
-        raw = _pair_raw_2d(u, spacings, terms, p)
-    return k.scale_c * delta ** p * raw
+    with np.errstate(over="ignore"):     # an overflow is refused below, not warned
+        if u.ndim == 1:
+            raw = _pair_raw_1d(u, spacings[0], terms, p)
+        else:
+            raw = _pair_raw_2d(u, spacings, terms, p)
+    value = k.scale_c * delta ** p * raw
+    if not math.isfinite(value):
+        raise ParameterError("non-finite pair sum (kernel values overflow?)")
+    return value
 
 
 def _sampled_lipschitz(u: np.ndarray, spacings) -> float:
@@ -389,8 +398,6 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
     """
     u, spac = sample_midpoints(f, params.grid_n)
     value = pair_sum_on_samples(u, spac, k, params.p, params.delta)
-    if not math.isfinite(value):
-        raise ParameterError("non-finite pair sum (kernel values overflow?)")
     tail = _window_bound(f, k, params.p, params.delta)
     if params.diagonal_policy == "exclude-and-bound":
         lip = _sampled_lipschitz(u, spac)

@@ -24,12 +24,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .evaluator import FunctionalParams, lambda_pair, lambda_polar
+from .evaluator import FunctionalParams, _require_grid_n, lambda_pair, lambda_polar
 from .functions import TestFunction, sobolev_energy, unit_step
 from .kernels import Kernel, _require_delta, band_kernel, indicator_kernel, normalize
 
@@ -43,6 +43,7 @@ __all__ = [
     "step_divergence",
     "write_sweep_csv",
     "write_growth_csv",
+    "write_csv",
     "write_meta",
     "format_cell",
 ]
@@ -118,6 +119,7 @@ def _max_spacing(f: TestFunction, grid_n: int) -> float:
 
 
 def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
+    _require_grid_n(grid_n)
     h = _max_spacing(f, grid_n)
     if h > delta_min / 8.0:
         width = max(b - a for a, b in zip(f.domain.window_lo, f.domain.window_hi))
@@ -244,26 +246,29 @@ def format_cell(x) -> str:
     return CSV_DIGITS % x
 
 
-def write_sweep_csv(report: SweepReport, path):
+def write_csv(path, header, rows):
+    """The one CSV writer: strings go out as they are, numbers through format_cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["delta", "value", "tail_bound", "energy", "ratio"])
-        for r in report.rows:
-            w.writerow([format_cell(x)
-                        for x in (r.delta, r.value, r.tail_bound, r.energy, r.ratio)])
+        w.writerow(header)
+        w.writerows([c if isinstance(c, str) else format_cell(c) for c in row]
+                    for row in rows)
+
+
+def write_sweep_csv(report: SweepReport, path):
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, report.rows))
 
 
 def write_growth_csv(report: GrowthReport, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "value", "ratio"])
-        for r in report.rows:
-            w.writerow([str(r.n), format_cell(r.value), format_cell(r.ratio)])
+    write_csv(path, [f.name for f in fields(GrowthRow)], map(astuple, report.rows))
 
 
 def write_meta(metadata: dict, path):
+    """Write the run record as JSON: its keys, then the library versions,
+    then ``wall_time_s`` when the record has one."""
     from . import __version__
     meta = dict(metadata)
+    wall = meta.pop("wall_time_s", None)
     meta["versions"] = {
         "nlsobolev": __version__,
         "numpy": np.__version__,
@@ -273,6 +278,8 @@ def write_meta(metadata: dict, path):
         meta["versions"]["scipy"] = scipy.__version__
     except ImportError:
         pass
+    if wall is not None:
+        meta["wall_time_s"] = wall
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, default=_json_default)
         fh.write("\n")

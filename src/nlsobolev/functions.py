@@ -346,7 +346,7 @@ def sobolev_energy(f: TestFunction, p: float) -> float:
     finite differences (central inside, one-sided at faces) plus
     trapezoid weights for grid functions; +inf for steps.
     """
-    if p <= 0:
+    if not p > 0:
         raise ParameterError("p must be positive")
     dom = f.domain
     if f.kind == "affine":

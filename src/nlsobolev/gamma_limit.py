@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import _KernelTerms, _lag_weights, pair_sum_on_samples, sample_midpoints
-from .experiments import SweepReport, _require_resolution, delta_sweep
+from .evaluator import (_KernelTerms, _lag_weights, _require_grid_n, pair_sum_on_samples,
+                        sample_midpoints)
+from .experiments import SweepReport, _require_resolution, delta_sweep, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _require_delta
 
@@ -65,7 +66,8 @@ class KappaProblem:
 
     def __post_init__(self):
         _require_delta(self.delta)
-        if self.p < 1:
+        _require_grid_n(self.grid_n)
+        if not self.p >= 1:
             raise ParameterError("need p >= 1")
         if self.d not in (1, 2):
             raise ParameterError("d must be 1 or 2")
@@ -239,12 +241,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
 
 
 def write_trace_csv(report: KappaReport, path):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "objective", "proximity"])
-        for it, objv, prox in report.trace:
-            w.writerow([str(it), "%.17g" % objv, "%.17g" % prox])
+    write_csv(path, ["iteration", "objective", "proximity"], report.trace)
 
 
 # ----------------------------------------------------------------------

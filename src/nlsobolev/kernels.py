@@ -135,7 +135,7 @@ def envelope_kernel(a: float, b: float, p: float, c: float = 1.0) -> Kernel:
     """
     if a < 0 or b < 0:
         raise ParameterError("envelope coefficients must be nonnegative")
-    if p <= 0:
+    if not p > 0:
         raise ParameterError("envelope exponent requires p > 0")
     return Kernel("envelope", scale_c=c, monotone=(a <= b), env_a=a, env_b=b,
                   exponent=p + 1.0)
@@ -248,7 +248,7 @@ def eval_kernel(k: Kernel, t):
 def scaled_kernel_eval(k: Kernel, p: float, delta: float, t):
     """Rescaled kernel phi_delta(t) = delta^p * phi(t / delta)."""
     _require_delta(delta)
-    if p <= 0:
+    if not p > 0:
         raise ParameterError("p must be positive")
     arr = np.asarray(t, dtype=float)
     out = delta ** p * np.asarray(eval_kernel(k, arr / delta))
@@ -343,7 +343,7 @@ def gamma_dp(d: int, p: float) -> float:
     d = 2: int_0^(2 pi) |cos|^p = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1),
     in closed form (exactly pi at p = 2).
     """
-    if p <= 0:
+    if not p > 0:
         raise ParameterError("p must be positive")
     if d == 1:
         return 2.0
@@ -362,7 +362,7 @@ def normalization_integral(k: Kernel, p: float) -> float:
     Requires p > 1.  Raises KernelValidationError when the integral
     diverges (growth failure at 0 or an unbounded tail).
     """
-    if p <= 1:
+    if not p > 1:
         raise ParameterError("calibration integral is only supported for p > 1")
     c = k.scale_c
     if c == 0:
@@ -477,7 +477,7 @@ def validate(k: Kernel, p: float, d: int = 1) -> KernelValidationReport:
 
     Never raises on a failing kernel: failures are carried in the report.
     """
-    if p <= 1:
+    if not p > 1:
         raise ParameterError("validation is defined for p > 1")
     ratio = growth_constant(k, p)
     sup = bound_constant(k)

@@ -4,9 +4,14 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from nlsobolev import cli
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def run_cli(*args):
@@ -374,11 +379,15 @@ kappa.patience = 5
 @pytest.mark.parametrize("case", ["eval-delta-nan", "eval-delta-inf", "sweep-delta-nan",
                                   "step-divergence-n_list-1e400", "kappa-step_init-nan",
                                   "kappa-step_shrink-nan", "kappa-epsilon-nan",
-                                  "eval-threshold-nan"])
+                                  "eval-threshold-nan", "sweep-grid_n-0",
+                                  "pathology-grid_n-0", "kappa-grid_n-0",
+                                  "step-divergence-n_list-0", "kappa-grid_n-negative",
+                                  "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
-    # each used to hang, blame the kernel, end in an OverflowError traceback, or
-    # exit 0: a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon
-    # disables the search, a NaN indicator threshold gives value 0
+    # each used to hang, blame the wrong input, end in a traceback, or exit 0:
+    # a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon disables
+    # the search, a NaN indicator threshold gives value 0, grid_n = 0 divides by
+    # zero, an overflowing kernel gives kappa_hat=inf
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -398,6 +407,26 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
         "eval-threshold-nan": ("eval", "kernel.shape = indicator\nkernel.threshold = nan\n"
                                        "function.kind = affine\ndelta = 0.1\ngrid_n = 256\n",
                                "indicator threshold must be positive"),
+        "sweep-grid_n-0": ("sweep", SWEEP_CONF.replace("grid_n = 2048", "grid_n = 0"),
+                           "grid_n must be at least 16"),
+        "pathology-grid_n-0": ("pathology", "delta = 0.25\ngrid_n = 0\n",
+                               "grid_n must be at least 16"),
+        "kappa-grid_n-0": ("kappa", KAPPA_CONF + "grid_n = 0\n",
+                           "grid_n must be at least 16"),
+        "step-divergence-n_list-0": ("step-divergence",
+                                     "p = 2\ndelta = 0.1\nn_list = 0, 1024\n",
+                                     "grid_n must be at least 16"),
+        "kappa-grid_n-negative": ("kappa", KAPPA_CONF + "grid_n = -4\n",
+                                  "grid_n must be at least 16"),
+        "eval-p-nan": ("eval", "kernel.shape = indicator\nfunction.kind = affine\n"
+                               "p = nan\ndelta = 0.1\ngrid_n = 256\n",
+                       "p must be >= 1"),
+        "kappa-p-nan": ("kappa", KAPPA_CONF + "p = nan\n",
+                        "calibration integral is only supported for p > 1"),
+        "kappa-overflowing-kernel": ("kappa", "kernel.shape = power-cutoff\n"
+                                              "kernel.exponent = 400\nkernel.cutoff = inf\n"
+                                              "delta = 0.1\ngrid_n = 512\n",
+                                     "non-finite pair sum"),
     }[case]
     conf = write_config(tmp_path, text)
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
@@ -405,3 +434,34 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     assert res.stderr.startswith("error:")
     assert message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(cfg, args):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "eval", broken)
+    conf = write_config(tmp_path, AFFINE_EVAL + "grid_n = 256\n")
+    assert cli.main(["eval", "--config", conf, "--out", str(tmp_path / "e")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError('runner bug')")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("name, sub, status, header", [
+    ("affine_sweep", "sweep", 0, "delta,value,tail_bound,energy,ratio"),
+    ("pathology", "pathology", 0, "delta,value,tail_bound,energy,ratio"),
+    ("kappa", "kappa", 0, "iteration,objective,proximity"),
+    ("validate_band", "validate-kernel", 1, "check,ok,detail"),
+])
+def test_demo_configs(tmp_path, name, sub, status, header):
+    # the README's command for each demo config
+    res = run_cli(sub, "--config", str(DEMO_CONFIGS / f"{name}.conf"),
+                  "--out", str(tmp_path / name))
+    assert res.returncode == status, res.stderr
+    assert (tmp_path / f"{name}.csv").read_text().split("\n")[0] == header
+    meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+    keys = list(meta)
+    assert keys[:4] == ["config", "subcommand", "threads", "seed"]
+    assert keys[-2:] == ["versions", "wall_time_s"]
+    assert meta["subcommand"] == sub

@@ -101,6 +101,9 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,objective,proximity"
     assert len(lines) == len(rep.trace) + 1
+    rep.trace.append((51, np.inf, np.nan))     # non-finite cells as in every CSV
+    nl.write_trace_csv(rep, path)
+    assert path.read_text().strip().split("\n")[-1] == "51,inf-flag,inf-flag"
 
 
 # ----------------------------------------------------------------------
