@@ -362,6 +362,7 @@ def _run_cross_check(cfg, args):
         else [_get_float(cfg, "delta")]
     budget = _get_float(cfg, "cross.budget", 0.02)
     rows = []
+    tail_over_value = []     # how much of the values the certificates cover
     worst = 0.0
     ok = True
     for delta in deltas:
@@ -375,6 +376,7 @@ def _run_cross_check(cfg, args):
         gap = abs(pr.value - po.value)
         tail = pr.tail_bound + po.tail_bound
         rows.append([delta, pr.value, po.value, tail, gap / ref])
+        tail_over_value.append(tail / ref)
         worst = max(worst, gap / ref)
         # an infinite certificate would allow any gap, so it cannot pass
         ok = ok and math.isfinite(tail) and gap <= tail + budget * ref
@@ -382,7 +384,8 @@ def _run_cross_check(cfg, args):
                           ["delta", "pair_value", "polar_value", "combined_tail",
                            "rel_gap"], rows)
     return ({"threads": _threads("polar"), "kernel": k.describe(),
-             "function": f.describe(), "budget": budget},
+             "function": f.describe(), "budget": budget,
+             "tail_over_value": tail_over_value},
             f"cross-check {'PASS' if ok else 'FAIL'} worst_rel_gap={worst:.6g}",
             0 if ok else 1)
 

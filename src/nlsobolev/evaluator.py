@@ -14,7 +14,12 @@ is 0/0-adjacent; for Lipschitz u the growth condition phi(t) <= a t^(p+1)
 bounds the skipped continuum mass by (a L^(p+1) / delta) * |x-y|^(1-d)
 near the diagonal, and that bound is reported as a certificate.  The
 polar scheme integrates h on a geometric grid (the integrand decays like
-h^-(p+1)) and certifies the omitted head and tail analytically.
+h^-(p+1)) and certifies the omitted head and tail analytically.  In 2-D,
+for one (sigma, h), the shifted cell centres are the tensor product of the
+two shifted axes, so u is evaluated on that product
+(``functions._values_on_product``): a grid function does its index work
+per axis, with the same bits as point by point.  Either scheme refuses a
+non-finite sum (ParameterError) rather than report it.
 
 Determinism: all reductions run over a fixed chunking of the term index
 space, combined by a fixed-order pairwise tree.  Pair sums run serially;
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .functions import TestFunction, _values_at, dilate
+from .functions import TestFunction, _values_at, _values_on_product, dilate
 from .kernels import Kernel, _require_delta, _shape_values, bound_constant, growth_constant
 
 __all__ = [
@@ -117,22 +122,24 @@ def sample_midpoints(f: TestFunction, n: int):
     Returns (u, spacings): u is (n,) in 1-D or (n, n) in 2-D.  Raises
     ParameterError on a non-finite sample, which no certificate covers.
     """
-    dom = f.domain
-    lo, hi = dom.window_lo, dom.window_hi
-    axes, spac = [], []
-    for a, b in zip(lo, hi):
-        h = (b - a) / n
-        axes.append(a + (np.arange(n) + 0.5) * h)
-        spac.append(h)
-    if dom.dim == 1:
+    axes, spac = _cell_axes(f.domain, n)
+    if f.domain.dim == 1:
         u = _values_at(f, axes[0])
     else:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        u = _values_at(f, np.stack([X, Y], axis=-1))
+        u = _values_on_product(f, axes[0], axes[1])
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ParameterError("function samples must be finite")
-    return u, tuple(spac)
+    return u, spac
+
+
+def _cell_axes(dom, n: int):
+    """Cell-centre coordinates along each axis of the window, and the spacings.
+
+    The cells of a 2-D window are the tensor product of the two axes.
+    """
+    spac = tuple((b - a) / n for a, b in zip(dom.window_lo, dom.window_hi))
+    return [a + (np.arange(n) + 0.5) * h for a, h in zip(dom.window_lo, spac)], spac
 
 
 def _tree_sum(parts: list[float]) -> float:
@@ -290,7 +297,9 @@ def _lag_sums_2d(u: np.ndarray, terms: _KernelTerms) -> np.ndarray:
     A pair at lag (mx, my) is u[i', j + my] - u[i, j] with mx = i' - i.
     One pass per my takes a block of row pairs (i', i) at once, at most
     _BLOCK elements, sums along the row, and np.bincount files the row
-    sums under mx.
+    sums under mx.  At my = 0 only mx > 0 is used, so a block of rows
+    i' < r0 + rows takes only the columns i < r0 + rows; the lags it still
+    fills keep their contributions in the same order, hence the same sums.
     """
     n0, n1 = u.shape
     s = np.zeros((n1, 2 * n0 - 1))
@@ -302,14 +311,16 @@ def _lag_sums_2d(u: np.ndarray, terms: _KernelTerms) -> np.ndarray:
         cols = min(n0, max(1, _BLOCK // ln))
         rows = max(1, _BLOCK // (cols * ln))
         for r0 in range(0, n0, rows):
-            for c0 in range(0, n0, cols):
-                a, b = u[r0:r0 + rows, None, my:], u[None, c0:c0 + cols, :ln]
+            c_end = min(n0, r0 + rows) if my == 0 else n0
+            for c0 in range(0, c_end, cols):
+                c1 = min(c0 + cols, c_end)
+                a, b = u[r0:r0 + rows, None, my:], u[None, c0:c1, :ln]
                 shape = (a.shape[0], b.shape[1], ln)
                 size = shape[0] * shape[1] * ln
                 d = np.subtract(a, b, out=buf[:size].reshape(shape))
                 np.abs(d, out=d)
                 row = terms.sum(d, axis=2, mask=mask[:size].reshape(shape))
-                s[my] += np.bincount(lag_index[r0:r0 + rows, c0:c0 + cols].ravel(),
+                s[my] += np.bincount(lag_index[r0:r0 + rows, c0:c1].ravel(),
                                      weights=row.ravel(), minlength=2 * n0 - 1)
     return s
 
@@ -411,6 +422,15 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
 # ----------------------------------------------------------------------
 
 def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, clamp_box) -> np.ndarray:
+    """u at one polar chunk's shifted points, clamped into ``clamp_box`` if given.
+
+    In 1-D pts is (n, nh), the shifted cell centres, and so is the result.
+    In 2-D pts is (n, nh, 2): pts[:, k, 0] and pts[:, k, 1] are the shifted
+    axis-0 and axis-1 coordinates for h-step k, each row a real shifted
+    point.  The chunk's point set is their tensor product, and the result
+    is (n, n, nh) with out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).
+    Either way pts is a (..., d) array of points that ``eval_u`` accepts.
+    """
     if clamp_box is not None:
         lo, hi = clamp_box
         if pts.ndim == 1 or pts.shape[-1] != len(lo):
@@ -418,7 +438,9 @@ def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, clamp_box) -> np.ndarr
         else:
             pts = np.stack([np.clip(pts[..., ax], lo[ax], hi[ax])
                             for ax in range(len(lo))], axis=-1)
-    return _values_at(f, pts)
+    if f.domain.dim == 1:
+        return _values_at(f, pts)
+    return _values_on_product(f, pts[..., 0], pts[..., 1])
 
 
 def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
@@ -451,19 +473,15 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
     h_grid = np.exp(s_mid)
     h_weights = h_grid ** (-p)   # one h_j factor absorbed by dh = h ds
 
+    x = np.stack(_cell_axes(dom, params.grid_n)[0], axis=-1)   # cell centres per axis, (n, d)
     if dom.dim == 1:
         sigmas = [np.array([-1.0]), np.array([1.0])]
         ang_w = 1.0                      # counting measure on {-1, +1}
-        x = dom.window_lo[0] + (np.arange(params.grid_n) + 0.5) * spac[0]
     else:
         n_th = params.polar_angle_steps
         theta = (np.arange(n_th) + 0.5) * (2.0 * math.pi / n_th)
         sigmas = [np.array([math.cos(t), math.sin(t)]) for t in theta]
         ang_w = 2.0 * math.pi / n_th
-        ax0 = dom.window_lo[0] + (np.arange(params.grid_n) + 0.5) * spac[0]
-        ax1 = dom.window_lo[1] + (np.arange(params.grid_n) + 0.5) * spac[1]
-        X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-        x = np.stack([X.ravel(), Y.ravel()], axis=-1)
 
     u_flat = u0.ravel()
     terms = _KernelTerms(k, delta)
@@ -475,20 +493,23 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
 
     def worker(spec):
         sig_idx, a, b = spec
-        sig = sigmas[sig_idx]
-        hs = h_grid[a:b]
+        # (n, nh, d): each axis shifted on its own; in 2-D the chunk's points
+        # are the tensor product of the two axes, evaluated as such
+        pts = x[:, None, :] + (delta * h_grid[a:b])[None, :, None] * sigmas[sig_idx]
         if dom.dim == 1:
-            pts = x[:, None] + delta * hs[None, :] * sig[0]
-        else:
-            pts = x[:, None, :] + (delta * hs)[None, :, None] * sig[None, None, :]
-        shifted = _polar_eval_shifted(f, pts, clamp_box)
+            pts = pts[..., 0]
+        shifted = _polar_eval_shifted(f, pts, clamp_box).reshape(u_flat.size, -1)
         diff = shifted - u_flat[:, None]
         np.abs(diff, out=diff)
-        per_h = terms.sum(diff, axis=0)
-        return float(np.dot(per_h, h_weights[a:b]))
+        # an overflow is refused below, not warned; errstate is per thread
+        with np.errstate(over="ignore"):
+            per_h = terms.sum(diff, axis=0)
+            return float(np.dot(per_h, h_weights[a:b]))
 
     raw = _tree_sum(_run_chunks(worker, chunks, POLAR_THREADS))
     value = k.scale_c * cell_vol * ang_w * ds * raw
+    if not math.isfinite(value):
+        raise ParameterError("non-finite polar sum (kernel values overflow?)")
 
     # certificates: h-tail, h-head, and (whole-space) the x region beyond the window
     b_sup = bound_constant(k)

@@ -271,27 +271,34 @@ def _as_points(f: TestFunction, x) -> np.ndarray:
     return pts.reshape(-1, f.domain.dim)
 
 
-def _interp_grid(f: TestFunction, pts: np.ndarray) -> np.ndarray:
+def _interp_grid(f: TestFunction, coords) -> np.ndarray:
+    """Lattice interpolant, clamped at the edges, at per-axis coordinates.
+
+    ``coords`` holds one coordinate array per axis; in 2-D the two
+    broadcast together and the result has their broadcast shape.  The
+    index, clip and fraction of each axis are computed on that axis's own
+    array, so a tensor grid costs its per-axis size there; the four
+    corner values are then gathered from the flattened lattice.
+    """
     vals = f.grid_values
     h = f.grid_spacing
     if vals.ndim == 1:
         nodes = f.grid_origin[0] + h * np.arange(vals.size)
-        return np.interp(pts, nodes, vals)
-    # bilinear with edge clamping
-    out_shape = pts.shape[:-1]
-    p = pts.reshape(-1, 2)
+        return np.interp(coords[0], nodes, vals)
     idx = []
     frac = []
-    for ax in range(2):
-        t = (p[:, ax] - f.grid_origin[ax]) / h
+    for ax, c in enumerate(coords):
+        t = (c - f.grid_origin[ax]) / h
         t = np.clip(t, 0.0, vals.shape[ax] - 1.0)
         i0 = np.minimum(t.astype(int), vals.shape[ax] - 2)
         idx.append(i0)
         frac.append(t - i0)
     (i, j), (s, t) = idx, frac
-    v = (vals[i, j] * (1 - s) * (1 - t) + vals[i + 1, j] * s * (1 - t)
-         + vals[i, j + 1] * (1 - s) * t + vals[i + 1, j + 1] * s * t)
-    return v.reshape(out_shape)
+    m = vals.shape[1]
+    flat = vals.ravel()
+    k = i * m + j          # corner (i, j); flat[m:], flat[1:], flat[m + 1:] give the others
+    return (flat[k] * (1 - s) * (1 - t) + flat[m:][k] * s * (1 - t)
+            + flat[1:][k] * (1 - s) * t + flat[m + 1:][k] * s * t)
 
 
 def _values_at(f: TestFunction, pts: np.ndarray) -> np.ndarray:
@@ -310,7 +317,21 @@ def _values_at(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     if f.kind == "step":
         idx = np.searchsorted(np.asarray(f.jumps), pts, side="right")
         return np.asarray(f.levels)[idx]
-    return _interp_grid(f, pts)
+    return _interp_grid(f, (pts,) if f.domain.dim == 1 else (pts[..., 0], pts[..., 1]))
+
+
+def _values_on_product(f: TestFunction, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """u of a 2-D function on the tensor product of two coordinate arrays.
+
+    c0 is (n0, *rest) on axis 0 and c1 is (n1, *rest) on axis 1; the result
+    is (n0, n1, *rest) with out[i, j, ...] = u(c0[i, ...], c1[j, ...]), the
+    same bits as ``_values_at`` on the materialized points.  The grid kind
+    does its index work per axis; the other kinds broadcast into points.
+    """
+    x0, x1 = c0[:, None], c1[None, :]
+    if f.kind == "grid":
+        return _interp_grid(f, (x0, x1))
+    return _values_at(f, np.stack(np.broadcast_arrays(x0, x1), axis=-1))
 
 
 def eval_u(f: TestFunction, x):

@@ -221,6 +221,10 @@ polar.h_steps = 1200
     with open(out + ".csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["rel_gap"]) < 0.05
+    # meta.json: the combined certificate over the larger value, one per CSV row
+    meta = json.loads((tmp_path / "x.meta.json").read_text())
+    ref = max(float(rows[0]["pair_value"]), float(rows[0]["polar_value"]))
+    assert meta["tail_over_value"] == [float(rows[0]["combined_tail"]) / ref]
 
 
 def test_grid_function_from_csv_lattice(tmp_path):
@@ -382,12 +386,13 @@ kappa.patience = 5
                                   "eval-threshold-nan", "sweep-grid_n-0",
                                   "pathology-grid_n-0", "kappa-grid_n-0",
                                   "step-divergence-n_list-0", "kappa-grid_n-negative",
-                                  "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel"])
+                                  "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel",
+                                  "eval-polar-overflowing-kernel"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon disables
     # the search, a NaN indicator threshold gives value 0, grid_n = 0 divides by
-    # zero, an overflowing kernel gives kappa_hat=inf
+    # zero, an overflowing kernel gives kappa_hat=inf or a polar value=inf
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -427,13 +432,21 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                               "kernel.exponent = 400\nkernel.cutoff = inf\n"
                                               "delta = 0.1\ngrid_n = 512\n",
                                      "non-finite pair sum"),
+        "eval-polar-overflowing-kernel": ("eval", "kernel.shape = power-cutoff\n"
+                                                  "kernel.exponent = 400\n"
+                                                  "kernel.cutoff = inf\nfunction.kind = sine\n"
+                                                  "domain.flavor = whole-space\n"
+                                                  "domain.padding = 0.5\ndelta = 0.1\n"
+                                                  "grid_n = 128\nscheme = polar\n"
+                                                  "polar.h_steps = 32\n",
+                                          "non-finite polar sum"),
     }[case]
     conf = write_config(tmp_path, text)
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
     assert res.returncode == 2, res.stdout
     assert res.stderr.startswith("error:")
     assert message in res.stderr
-    assert "Traceback" not in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nlsobolev as nl
 from nlsobolev.errors import ContractError, ParameterError
-from nlsobolev import evaluator
+from nlsobolev import evaluator, functions
 from nlsobolev.evaluator import pair_sum_on_samples, sample_midpoints
 from nlsobolev.gamma_limit import _PairObjective
 
@@ -419,24 +419,139 @@ def test_polar_matches_pair_on_tent():
     assert abs(pr.value - po.value) <= allowed
 
 
+def _product_pointwise(f, c0, c1):
+    """u on the tensor product of c0 and c1, through eval_u on materialized points."""
+    pts = np.stack(np.broadcast_arrays(c0[:, None], c1[None, :]), axis=-1)
+    return nl.eval_u(f, pts).reshape(pts.shape[:-1])
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_polar_pool_width_bitwise_equal(monkeypatch, dim):
+    # every pool width, and in 2-D the point-wise reference for the tensor
+    # grid, give the same bits; the bounded 2-D lattice takes the clamp_box branch
     if dim == 1:
-        f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
+        fs = [nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)]
         params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
     else:
         x = np.linspace(-1.0, 1.0, 17)
         r2 = x[:, None] ** 2 + x[None, :] ** 2
-        f = nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
-                             0.125, flavor="whole-space", padding=1.0)
+        fs = [nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
+                               0.125, flavor=flavor, padding=1.0)
+              for flavor in ("whole-space", "bounded")]
         params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=128,
                                      polar_angle_steps=8)
-    k = nl.normalize(nl.indicator_kernel(), dim, 2.0)
-    vals = set()
-    for width in (1, 2, 4):
-        monkeypatch.setattr(evaluator, "POLAR_THREADS", width)
-        vals.add(nl.lambda_polar(f, k, params).value)
-    assert len(vals) == 1
+    for f in fs:
+        for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
+            k = nl.normalize(k, dim, 2.0)
+            vals = set()
+            with monkeypatch.context() as mp:
+                for width in (1, 2, 4):
+                    mp.setattr(evaluator, "POLAR_THREADS", width)
+                    vals.add(nl.lambda_polar(f, k, params, allow_bounded=True).value)
+                mp.setattr(evaluator, "_values_on_product", _product_pointwise)
+                vals.add(nl.lambda_polar(f, k, params, allow_bounded=True).value)
+            assert len(vals) == 1, (f.domain.flavor, k.shape)
+
+
+def _bilinear_reference(f, pts):
+    """The 2-D lattice interpolant point by point, with 2-D corner indexing."""
+    vals, h = f.grid_values, f.grid_spacing
+    p = pts.reshape(-1, 2)
+    idx, frac = [], []
+    for ax in range(2):
+        t = np.clip((p[:, ax] - f.grid_origin[ax]) / h, 0.0, vals.shape[ax] - 1.0)
+        i0 = np.minimum(t.astype(int), vals.shape[ax] - 2)
+        idx.append(i0)
+        frac.append(t - i0)
+    (i, j), (s, t) = idx, frac
+    v = (vals[i, j] * (1 - s) * (1 - t) + vals[i + 1, j] * s * (1 - t)
+         + vals[i, j + 1] * (1 - s) * t + vals[i + 1, j + 1] * s * t)
+    return v.reshape(pts.shape[:-1])
+
+
+def _axis_coords(draw, lo, hi, shape):
+    """Coordinates on one axis: off the lattice on both sides, on its first and
+    last nodes, and in between."""
+    pick = st.one_of(st.sampled_from([lo, hi, lo - 0.3, hi + 0.7, lo - 1e-9, hi + 1e-9]),
+                     st.floats(lo - 2.0, hi + 2.0))
+    return np.array(draw(st.lists(pick, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+
+
+@st.composite
+def _lattice_and_coords(draw):
+    m0, m1 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    spacing = draw(st.sampled_from([0.125, 0.1, 1.0 / 3.0, 2.0]))
+    origin = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    values = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=m0 * m1,
+                                    max_size=m0 * m1))).reshape(m0, m1)
+    n0, n1, rest = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    c0 = _axis_coords(draw, origin[0], origin[0] + spacing * (m0 - 1), (n0, rest))
+    c1 = _axis_coords(draw, origin[1], origin[1] + spacing * (m1 - 1), (n1, rest))
+    return values, origin, spacing, c0, c1
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_lattice_and_coords())
+def test_tensor_grid_values_bitwise_equal_pointwise(case):
+    values, origin, spacing, c0, c1 = case
+    f = nl.grid_function(values, origin, spacing, flavor="whole-space", padding=1.0)
+    got = functions._values_on_product(f, c0, c1)
+    assert got.shape == c0.shape[:1] + c1.shape
+    pts = np.stack(np.broadcast_arrays(c0[:, None], c1[None, :]), axis=-1)
+    assert got.tobytes() == _product_pointwise(f, c0, c1).tobytes()
+    assert got.tobytes() == _bilinear_reference(f, pts).tobytes()
+    # the clamp_box branch of the polar scheme: a bounded lattice, each axis
+    # clipped to the box before the tensor product is taken
+    bounded = nl.grid_function(values, origin, spacing)
+    box = (bounded.domain.lo, bounded.domain.hi)
+    c1 = np.resize(c1, c0.shape)                   # polar chunks are (n, nh, 2)
+    got = evaluator._polar_eval_shifted(bounded, np.stack([c0, c1], axis=-1), box)
+    clipped = [np.clip(c, lo, hi) for c, lo, hi in zip((c0, c1), *box)]
+    assert got.tobytes() == _product_pointwise(bounded, *clipped).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["affine", "cube-profile", "sine", "grid"]),
+       n=st.integers(16, 40), lo=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       size=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)), seed=st.integers(0, 2 ** 16))
+def test_sample_midpoints_2d_bitwise_equal_pointwise(kind, n, lo, size, seed):
+    rng = np.random.default_rng(seed)
+    hi = tuple(a + b for a, b in zip(lo, size))
+    dom = nl.bounded_box(lo, hi)
+    if kind == "affine":
+        f = nl.affine_function(rng.uniform(-3.0, 3.0, 2), float(rng.uniform(-1.0, 1.0)), dom)
+    elif kind == "cube-profile":
+        f = nl.cube_profile(2, dom)
+    elif kind == "sine":
+        f = nl.sine_function(float(rng.uniform(0.2, 3.0)), float(rng.uniform(-2.0, 2.0)), dom)
+    else:
+        m0, m1 = rng.integers(2, 12, size=2)
+        f = nl.grid_function(rng.uniform(-1.0, 1.0, (m0, m1)), lo,
+                             max(size[0] / (m0 - 1), size[1] / (m1 - 1)))
+    u, spac = sample_midpoints(f, n)
+    axes = [a + (np.arange(n) + 0.5) * h for a, h in zip(f.domain.window_lo, spac)]
+    assert u.tobytes() == _product_pointwise(f, *axes).tobytes()
+
+
+def test_polar_hands_the_bench_an_eval_u_array_2d(monkeypatch):
+    # bench/probe.py records the array each polar chunk passes to
+    # _polar_eval_shifted and times functions.eval_u on it
+    x = np.linspace(-1.0, 1.0, 9)
+    f = nl.grid_function(np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2),
+                         [-1.0, -1.0], 0.25, flavor="whole-space", padding=0.5)
+    seen = []
+    shifted = evaluator._polar_eval_shifted
+    monkeypatch.setattr(evaluator, "_polar_eval_shifted",
+                        lambda f_, pts, box: seen.append(pts) or shifted(f_, pts, box))
+    params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=16, polar_h_steps=16,
+                                 polar_angle_steps=4)
+    nl.lambda_polar(f, nl.indicator_kernel(), params)
+    assert len(seen) == 4
+    for pts in seen:
+        assert isinstance(pts, np.ndarray) and pts.ndim >= 2 and pts.shape[-1] == 2
+        vals = functions.eval_u(f, pts)
+        assert vals.shape == (pts.size // 2,) and np.all(np.isfinite(vals))
 
 
 def test_polar_matches_pair_2d_smooth():
