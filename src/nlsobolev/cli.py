@@ -217,16 +217,32 @@ def build_function(cfg: dict, d: int) -> functions.TestFunction:
     raise ConfigError(f"unknown function.kind {kind!r}")
 
 
-def _polar_settings(cfg: dict) -> dict:
-    out = {}
-    if "polar.h_min" in cfg:
-        out["polar_h_min"] = _get_float(cfg, "polar.h_min")
-    if "polar.h_max" in cfg:
-        out["polar_h_max"] = _get_float(cfg, "polar.h_max")
-    if "polar.h_steps" in cfg:
-        out["polar_h_steps"] = _get_int(cfg, "polar.h_steps")
-    if "polar.angle_steps" in cfg:
-        out["polar_angle_steps"] = _get_int(cfg, "polar.angle_steps")
+def _kernel(cfg: dict):
+    """(p, d, kernel) as the config sets them."""
+    p = _get_float(cfg, "p", 2.0)
+    d = _get_int(cfg, "d", 1)
+    return p, d, build_kernel(cfg, d, p)
+
+
+def _deltas(cfg: dict, default=None) -> list[float]:
+    """``delta_list`` when the config sets one, else ``[delta]``; never empty."""
+    if "delta_list" not in cfg:
+        return [_get_float(cfg, "delta", default)]
+    deltas = _get_list(cfg, "delta_list")
+    if not deltas:
+        raise ConfigError("key 'delta_list': empty list")
+    return deltas
+
+
+def _settings(cfg: dict) -> dict:
+    """The FunctionalParams fields a config sets: grid_n, diagonal_policy, polar.*."""
+    out = {"grid_n": _get_int(cfg, "grid_n", 1024)}
+    if "diagonal_policy" in cfg:
+        out["diagonal_policy"] = cfg["diagonal_policy"]
+    for key, get in (("polar.h_min", _get_float), ("polar.h_max", _get_float),
+                     ("polar.h_steps", _get_int), ("polar.angle_steps", _get_int)):
+        if key in cfg:
+            out[key.replace(".", "_")] = get(cfg, key)
     return out
 
 
@@ -241,9 +257,7 @@ def _threads(scheme: str) -> int:
 # ----------------------------------------------------------------------
 
 def _run_validate_kernel(cfg, args):
-    p = _get_float(cfg, "p", 2.0)
-    d = _get_int(cfg, "d", 1)
-    k = build_kernel(cfg, d, p)
+    p, d, k = _kernel(cfg)
     report = kernels.validate(k, p, d)
     rows = [
         ["growth", str(report.cond_growth_ok).lower(), report.growth_ratio],
@@ -260,45 +274,26 @@ def _run_validate_kernel(cfg, args):
 
 
 def _run_eval(cfg, args):
-    p = _get_float(cfg, "p", 2.0)
-    d = _get_int(cfg, "d", 1)
-    k = build_kernel(cfg, d, p)
+    p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
-    delta = _get_float(cfg, "delta")
-    params = FunctionalParams(p=p, delta=delta, grid_n=_get_int(cfg, "grid_n", 1024),
-                              diagonal_policy=cfg.get("diagonal_policy",
-                                                      "exclude-and-bound"),
-                              **_polar_settings(cfg))
+    params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"), **_settings(cfg))
     scheme = cfg.get("scheme", "pair")
-    if scheme == "pair":
-        res = lambda_pair(f, k, params)
-    elif scheme == "polar":
-        res = lambda_polar(f, k, params,
-                           allow_bounded=_get_bool(cfg, "polar.allow_bounded"))
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    energy = functions.sobolev_energy(f, p)
-    ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else math.inf
-    experiments.write_csv(args.out + ".csv",
-                          ["delta", "value", "tail_bound", "energy", "ratio"],
-                          [[delta, res.value, res.tail_bound, energy, ratio]])
+    row = experiments._sweep_row(f, k, params, scheme,
+                                 _get_bool(cfg, "polar.allow_bounded"),
+                                 functions.sobolev_energy(f, p))
+    experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
     return ({"threads": _threads(scheme), "kernel": k.describe(),
              "function": f.describe(), "scheme": scheme},
-            f"eval value={res.value:.17g} tail_bound={res.tail_bound:.3g}", 0)
+            f"eval value={row.value:.17g} tail_bound={row.tail_bound:.3g}", 0)
 
 
 def _run_sweep(cfg, args):
-    p = _get_float(cfg, "p", 2.0)
-    d = _get_int(cfg, "d", 1)
-    k = build_kernel(cfg, d, p)
+    p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
-    deltas = _get_list(cfg, "delta_list")
     scheme = cfg.get("scheme", "pair")
     report = experiments.delta_sweep(
-        f, k, p, deltas, grid_n=_get_int(cfg, "grid_n", 1024), scheme=scheme,
-        diagonal_policy=cfg.get("diagonal_policy", "exclude-and-bound"),
-        allow_bounded_polar=_get_bool(cfg, "polar.allow_bounded"),
-        polar_settings=_polar_settings(cfg))
+        f, k, p, _get_list(cfg, "delta_list"), scheme=scheme,
+        allow_bounded_polar=_get_bool(cfg, "polar.allow_bounded"), **_settings(cfg))
     experiments.write_sweep_csv(report, args.out + ".csv")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
@@ -309,11 +304,8 @@ def _run_sweep(cfg, args):
 
 
 def _run_pathology(cfg, args):
-    if "delta_list" in cfg:
-        deltas = _get_list(cfg, "delta_list")
-    else:
-        deltas = [_get_float(cfg, "delta", 0.25)]
-    report = experiments.band_pathology(deltas, grid_n=_get_int(cfg, "grid_n", 1024))
+    report = experiments.band_pathology(_deltas(cfg, 0.25),
+                                        grid_n=_get_int(cfg, "grid_n", 1024))
     experiments.write_sweep_csv(report, args.out + ".csv")
     smallest = report.rows[-1]
     return (report.metadata,
@@ -332,9 +324,7 @@ def _run_step_divergence(cfg, args):
 
 
 def _run_kappa(cfg, args):
-    p = _get_float(cfg, "p", 2.0)
-    d = _get_int(cfg, "d", 1)
-    k = build_kernel(cfg, d, p)
+    p, d, k = _kernel(cfg)
     prob = gamma_limit.KappaProblem(
         kernel=k, delta=_get_float(cfg, "delta", 0.05),
         grid_n=_get_int(cfg, "grid_n", 2048), p=p, d=d,
@@ -354,24 +344,20 @@ def _run_kappa(cfg, args):
 
 
 def _run_cross_check(cfg, args):
-    p = _get_float(cfg, "p", 2.0)
-    d = _get_int(cfg, "d", 1)
-    k = build_kernel(cfg, d, p)
+    p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
-    deltas = _get_list(cfg, "delta_list") if "delta_list" in cfg \
-        else [_get_float(cfg, "delta")]
+    deltas = _deltas(cfg)
     budget = _get_float(cfg, "cross.budget", 0.02)
+    settings = _settings(cfg)
+    allow_bounded = _get_bool(cfg, "polar.allow_bounded")
     rows = []
     tail_over_value = []     # how much of the values the certificates cover
     worst = 0.0
     ok = True
     for delta in deltas:
-        params = FunctionalParams(p=p, delta=delta,
-                                  grid_n=_get_int(cfg, "grid_n", 1024),
-                                  **_polar_settings(cfg))
+        params = FunctionalParams(p=p, delta=delta, **settings)
         pr = lambda_pair(f, k, params)
-        po = lambda_polar(f, k, params,
-                          allow_bounded=_get_bool(cfg, "polar.allow_bounded"))
+        po = lambda_polar(f, k, params, allow_bounded=allow_bounded)
         ref = max(pr.value, po.value, np.finfo(float).eps)
         gap = abs(pr.value - po.value)
         tail = pr.tail_bound + po.tail_bound

@@ -424,22 +424,17 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
 def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, clamp_box) -> np.ndarray:
     """u at one polar chunk's shifted points, clamped into ``clamp_box`` if given.
 
-    In 1-D pts is (n, nh), the shifted cell centres, and so is the result.
-    In 2-D pts is (n, nh, 2): pts[:, k, 0] and pts[:, k, 1] are the shifted
-    axis-0 and axis-1 coordinates for h-step k, each row a real shifted
-    point.  The chunk's point set is their tensor product, and the result
-    is (n, n, nh) with out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).
-    Either way pts is a (..., d) array of points that ``eval_u`` accepts.
+    pts is (n, nh, d): pts[:, k, ax] is the shifted axis-ax coordinate of
+    every cell centre for h-step k, each row a real shifted point, so pts
+    is a (..., d) array of points that ``eval_u`` accepts.  In 1-D the
+    result is (n, nh).  In 2-D the chunk's point set is the tensor product
+    of the two axes, and the result is (n, n, nh) with
+    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).
     """
     if clamp_box is not None:
-        lo, hi = clamp_box
-        if pts.ndim == 1 or pts.shape[-1] != len(lo):
-            pts = np.clip(pts, lo[0], hi[0])
-        else:
-            pts = np.stack([np.clip(pts[..., ax], lo[ax], hi[ax])
-                            for ax in range(len(lo))], axis=-1)
+        pts = np.clip(pts, *clamp_box)
     if f.domain.dim == 1:
-        return _values_at(f, pts)
+        return _values_at(f, pts[..., 0])
     return _values_on_product(f, pts[..., 0], pts[..., 1])
 
 
@@ -496,8 +491,6 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         # (n, nh, d): each axis shifted on its own; in 2-D the chunk's points
         # are the tensor product of the two axes, evaluated as such
         pts = x[:, None, :] + (delta * h_grid[a:b])[None, :, None] * sigmas[sig_idx]
-        if dom.dim == 1:
-            pts = pts[..., 0]
         shifted = _polar_eval_shifted(f, pts, clamp_box).reshape(u_flat.size, -1)
         diff = shifted - u_flat[:, None]
         np.abs(diff, out=diff)

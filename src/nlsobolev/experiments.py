@@ -129,32 +129,38 @@ def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
             f"need grid_n >= {needed}")
 
 
+def _sweep_row(f: TestFunction, k: Kernel, params: FunctionalParams, scheme: str,
+               allow_bounded: bool, energy: float) -> SweepRow:
+    """One row: Lambda_delta by ``scheme`` at ``params``, and its ratio to ``energy``.
+
+    The ratio is None unless the energy is finite and positive.
+    """
+    if scheme == "pair":
+        res = lambda_pair(f, k, params)
+    elif scheme == "polar":
+        res = lambda_polar(f, k, params, allow_bounded=allow_bounded)
+    else:
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else None
+    return SweepRow(params.delta, res.value, res.tail_bound, energy, ratio)
+
+
 def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 1024,
-                scheme: str = "pair", diagonal_policy: str = "exclude-and-bound",
-                allow_bounded_polar: bool = False,
-                polar_settings: dict | None = None) -> SweepReport:
+                scheme: str = "pair", allow_bounded_polar: bool = False,
+                **settings) -> SweepReport:
     """One row per delta: value, certificate, reference energy, ratio.
 
-    Ratios are recorded descriptively whatever their size; acceptance
-    thresholds live in the test suite, not here.
+    ``settings`` are further ``FunctionalParams`` fields, the same for
+    every delta: ``diagonal_policy`` and the polar quadrature
+    (``polar_h_min``, ``polar_h_max``, ``polar_h_steps``,
+    ``polar_angle_steps``).  Ratios are recorded descriptively whatever
+    their size; acceptance thresholds live in the test suite, not here.
     """
     ds = _check_deltas(delta_list)
     _require_resolution(f, grid_n, min(ds))
-    if scheme not in ("pair", "polar"):
-        raise ParameterError(f"unknown scheme {scheme!r}")
     energy = sobolev_energy(f, p)
-    rows = []
-    for d in ds:
-        kw = dict(p=p, delta=d, grid_n=grid_n, diagonal_policy=diagonal_policy)
-        if polar_settings:
-            kw.update(polar_settings)
-        params = FunctionalParams(**kw)
-        if scheme == "pair":
-            res = lambda_pair(f, k, params)
-        else:
-            res = lambda_polar(f, k, params, allow_bounded=allow_bounded_polar)
-        ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else None
-        rows.append(SweepRow(d, res.value, res.tail_bound, energy, ratio))
+    rows = [_sweep_row(f, k, FunctionalParams(p=p, delta=d, grid_n=grid_n, **settings),
+                       scheme, allow_bounded_polar, energy) for d in ds]
     meta = {
         "experiment": "delta_sweep",
         "kernel": k.describe(),
@@ -176,28 +182,16 @@ def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1),
     The attained difference quotients are exactly 0 and 1/delta; for
     delta < 1/2 the band (1, 2) contains neither, so every summand is
     individually zero and the reported value is exact binary zero.  For
-    delta in (1/2, 1) the value is strictly positive.
+    delta in (1/2, 1) the value is strictly positive.  The deltas are
+    deduplicated and taken largest first.
     """
     ds = sorted({float(d) for d in delta_list}, reverse=True)
-    f = unit_step(-1.0, 2.0)
-    k = normalize(band_kernel(1.0, 2.0), d=1, p=2.0)
-    _require_resolution(f, grid_n, min(ds))
-    rows = []
-    for d in ds:
-        params = FunctionalParams(p=2.0, delta=d, grid_n=grid_n,
-                                  diagonal_policy="exclude-cell")
-        res = lambda_pair(f, k, params)
-        rows.append(SweepRow(d, res.value, res.tail_bound, math.inf, None))
-    meta = {
-        "experiment": "band_pathology",
-        "kernel": k.describe(),
-        "function": f.describe(),
-        "p": 2.0,
-        "grid_n": grid_n,
-        "scheme": "pair",
-        "note": "step function: energy infinite, ratio undefined",
-    }
-    return SweepReport(rows, meta)
+    report = delta_sweep(unit_step(-1.0, 2.0), normalize(band_kernel(1.0, 2.0), d=1, p=2.0),
+                         2.0, ds, grid_n=grid_n, diagonal_policy="exclude-cell")
+    del report.metadata["certified"]
+    report.metadata.update(experiment="band_pathology",
+                           note="step function: energy infinite, ratio undefined")
+    return report
 
 
 def step_divergence(p: float, delta: float, n_list) -> GrowthReport:

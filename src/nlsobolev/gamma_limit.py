@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import (_KernelTerms, _lag_weights, _require_grid_n, pair_sum_on_samples,
-                        sample_midpoints)
+from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, _require_grid_n,
+                        lambda_pair, pair_sum_on_samples, sample_midpoints)
 from .experiments import SweepReport, _require_resolution, delta_sweep, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _require_delta
@@ -302,8 +302,6 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
     infimum) is loose at this resolution, never as a failure of the
     variational inequality itself.
     """
-    from .evaluator import FunctionalParams, lambda_pair
-
     ds = [float(d) for d in delta_list]
     for d in ds:
         _require_delta(d)

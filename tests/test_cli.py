@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nlsobolev import cli
+from nlsobolev.evaluator import FunctionalParams, lambda_pair, lambda_polar
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -380,6 +381,17 @@ kappa.patience = 5
 """
 
 
+# bounded affine u, both schemes: polar by nearest-boundary extension
+CROSS_AFFINE = """
+kernel.shape = envelope
+kernel.normalize = true
+function.kind = affine
+delta = 0.1
+grid_n = 256
+polar.allow_bounded = true
+"""
+
+
 @pytest.mark.parametrize("case", ["eval-delta-nan", "eval-delta-inf", "sweep-delta-nan",
                                   "step-divergence-n_list-1e400", "kappa-step_init-nan",
                                   "kappa-step_shrink-nan", "kappa-epsilon-nan",
@@ -387,12 +399,16 @@ kappa.patience = 5
                                   "pathology-grid_n-0", "kappa-grid_n-0",
                                   "step-divergence-n_list-0", "kappa-grid_n-negative",
                                   "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel",
-                                  "eval-polar-overflowing-kernel"])
+                                  "eval-polar-overflowing-kernel",
+                                  "cross-check-diagonal_policy-bogus",
+                                  "pathology-delta_list-empty",
+                                  "cross-check-delta_list-empty"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon disables
     # the search, a NaN indicator threshold gives value 0, grid_n = 0 divides by
-    # zero, an overflowing kernel gives kappa_hat=inf or a polar value=inf
+    # zero, an overflowing kernel gives kappa_hat=inf or a polar value=inf,
+    # cross-check drops diagonal_policy, an empty delta_list passes cross-check
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -440,6 +456,13 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                                   "grid_n = 128\nscheme = polar\n"
                                                   "polar.h_steps = 32\n",
                                           "non-finite polar sum"),
+        "cross-check-diagonal_policy-bogus": ("cross-check",
+                                              CROSS_AFFINE + "diagonal_policy = bogus\n",
+                                              "unknown diagonal policy 'bogus'"),
+        "pathology-delta_list-empty": ("pathology", "delta_list =\ngrid_n = 512\n",
+                                       "'delta_list': empty list"),
+        "cross-check-delta_list-empty": ("cross-check", CROSS_AFFINE + "delta_list =\n",
+                                         "'delta_list': empty list"),
     }[case]
     conf = write_config(tmp_path, text)
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
@@ -447,6 +470,38 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     assert res.stderr.startswith("error:")
     assert message in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+
+def test_cross_check_honours_diagonal_policy(tmp_path):
+    conf = write_config(tmp_path, CROSS_AFFINE + "diagonal_policy = exclude-cell\n")
+    out = str(tmp_path / "x")
+    res = run_cli("cross-check", "--config", conf, "--out", out)
+    assert res.returncode in (0, 1), res.stderr
+    with open(out + ".csv") as fh:
+        tail = float(list(csv.DictReader(fh))[0]["combined_tail"])
+    cfg = cli.parse_config(conf)
+    k, f = cli.build_kernel(cfg, 1, 2.0), cli.build_function(cfg, 1)
+    tails = {}
+    for policy in ("exclude-cell", "exclude-and-bound"):
+        params = FunctionalParams(p=2.0, delta=0.1, grid_n=256, diagonal_policy=policy)
+        tails[policy] = (lambda_pair(f, k, params).tail_bound
+                         + lambda_polar(f, k, params, allow_bounded=True).tail_bound)
+    assert tail == tails["exclude-cell"]
+    assert tail < tails["exclude-and-bound"]
+
+
+@pytest.mark.parametrize("kind", ["affine", "step"])
+def test_eval_writes_the_row_of_a_one_delta_sweep(tmp_path, kind):
+    # eval and sweep share one row rule; a step's infinite energy gives ratio inf-flag
+    base = f"kernel.shape = indicator\nkernel.normalize = true\nfunction.kind = {kind}\n" \
+           "grid_n = 256\n"
+    ev = write_config(tmp_path, base + "delta = 0.1\n", "eval.conf")
+    sw = write_config(tmp_path, base + "delta_list = 0.1\n", "sweep.conf")
+    assert run_cli("eval", "--config", ev, "--out", str(tmp_path / "e")).returncode == 0
+    assert run_cli("sweep", "--config", sw, "--out", str(tmp_path / "s")).returncode == 0
+    row = (tmp_path / "e.csv").read_bytes()
+    assert row == (tmp_path / "s.csv").read_bytes()
+    assert row.rstrip().endswith(b"inf-flag") == (kind == "step")
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

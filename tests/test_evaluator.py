@@ -536,22 +536,35 @@ def test_sample_midpoints_2d_bitwise_equal_pointwise(kind, n, lo, size, seed):
 
 def test_polar_hands_the_bench_an_eval_u_array_2d(monkeypatch):
     # bench/probe.py records the array each polar chunk passes to
-    # _polar_eval_shifted and times functions.eval_u on it
+    # _polar_eval_shifted and times functions.eval_u on it; that array is
+    # (n, nh, d) in 1-D as in 2-D, so the seam is pinned in both dimensions
     x = np.linspace(-1.0, 1.0, 9)
-    f = nl.grid_function(np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2),
-                         [-1.0, -1.0], 0.25, flavor="whole-space", padding=0.5)
+    tent = np.maximum(0.0, 1.0 - np.abs(x))
+    bump = np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2)
     seen = []
     shifted = evaluator._polar_eval_shifted
     monkeypatch.setattr(evaluator, "_polar_eval_shifted",
                         lambda f_, pts, box: seen.append(pts) or shifted(f_, pts, box))
     params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=16, polar_h_steps=16,
                                  polar_angle_steps=4)
-    nl.lambda_polar(f, nl.indicator_kernel(), params)
-    assert len(seen) == 4
-    for pts in seen:
-        assert isinstance(pts, np.ndarray) and pts.ndim >= 2 and pts.shape[-1] == 2
-        vals = functions.eval_u(f, pts)
-        assert vals.shape == (pts.size // 2,) and np.all(np.isfinite(vals))
+    for values, n_chunks in ((tent, 2), (bump, 4)):
+        d = values.ndim
+        f = nl.grid_function(values, [-1.0] * d, 0.25, flavor="whole-space", padding=0.5)
+        seen.clear()
+        nl.lambda_polar(f, nl.indicator_kernel(), params)
+        assert len(seen) == n_chunks
+        for pts in seen:
+            assert isinstance(pts, np.ndarray) and pts.ndim == 3 and pts.shape[-1] == d
+            vals = functions.eval_u(f, pts)
+            assert vals.shape == (pts.size // d,) and np.all(np.isfinite(vals))
+    # in 1-D the chunk's points are the evaluated points, clamped or not
+    pts = np.linspace(-1.5, 1.5, 16 * 5).reshape(16, 5, 1)
+    whole = nl.grid_function(tent, [-1.0], 0.25, flavor="whole-space", padding=0.5)
+    assert shifted(whole, pts, None).tobytes() == functions.eval_u(whole, pts).tobytes()
+    bounded = nl.affine_function([1.0], 0.0, nl.bounded_box([-1.0], [1.0]))
+    box = (bounded.domain.lo, bounded.domain.hi)
+    assert shifted(bounded, pts, box).tobytes() == \
+        functions.eval_u(bounded, np.clip(pts, -1.0, 1.0)).tobytes()
 
 
 def test_polar_matches_pair_2d_smooth():
