@@ -26,7 +26,8 @@ Config lines are `key = value` with dotted sections, e.g.::
     delta_list = 0.4, 0.2, 0.1, 0.05
     grid_n = 4096
 
-Unknown keys are rejected.  Identical config and seed reproduce the CSV
+A key the subcommand does not read is rejected (``_KEYS`` lists the
+keys of each subcommand).  Identical config and seed reproduce the CSV
 byte-for-byte (the meta file carries wall time and may differ).
 """
 
@@ -45,28 +46,6 @@ from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
 from . import evaluator, experiments, functions, gamma_limit, kernels
 from .evaluator import FunctionalParams, lambda_pair, lambda_polar
-
-_SUBCOMMANDS = ("validate-kernel", "eval", "sweep", "pathology",
-                "step-divergence", "kappa", "cross-check")
-
-_KNOWN_KEYS = {
-    "p", "d", "delta", "delta_list", "grid_n", "n_list", "scheme",
-    "diagonal_policy", "seed",
-    "kernel.shape", "kernel.c", "kernel.normalize", "kernel.threshold",
-    "kernel.lo", "kernel.hi", "kernel.a", "kernel.b", "kernel.exponent",
-    "kernel.cutoff", "kernel.knots", "kernel.values",
-    "function.kind", "function.gradient", "function.offset",
-    "function.frequency", "function.amplitude", "function.jumps",
-    "function.levels", "function.grid_file", "function.grid_format",
-    "function.grid_spacing", "function.grid_origin",
-    "domain.lo", "domain.hi", "domain.flavor", "domain.padding",
-    "polar.h_min", "polar.h_max", "polar.h_steps", "polar.angle_steps",
-    "polar.allow_bounded",
-    "kappa.iterations", "kappa.restarts", "kappa.epsilon", "kappa.step_init",
-    "kappa.step_shrink", "kappa.patience",
-    "cross.budget",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -235,10 +214,8 @@ def _deltas(cfg: dict, default=None) -> list[float]:
 
 
 def _settings(cfg: dict) -> dict:
-    """The FunctionalParams fields a config sets: grid_n, diagonal_policy, polar.*."""
+    """The FunctionalParams fields a config sets: grid_n, polar.*."""
     out = {"grid_n": _get_int(cfg, "grid_n", 1024)}
-    if "diagonal_policy" in cfg:
-        out["diagonal_policy"] = cfg["diagonal_policy"]
     for key, get in (("polar.h_min", _get_float), ("polar.h_max", _get_float),
                      ("polar.h_steps", _get_int), ("polar.angle_steps", _get_int)):
         if key in cfg:
@@ -331,10 +308,6 @@ def _run_kappa(cfg, args):
         epsilon=(_get_float(cfg, "kappa.epsilon") if "kappa.epsilon" in cfg else None),
         iterations=_get_int(cfg, "kappa.iterations", 2000),
         restarts=_get_int(cfg, "kappa.restarts", 5),
-        step_init=(_get_float(cfg, "kappa.step_init")
-                   if "kappa.step_init" in cfg else None),
-        step_shrink=_get_float(cfg, "kappa.step_shrink", 0.5),
-        patience=_get_int(cfg, "kappa.patience", 50),
         seed=args.seed)
     report = gamma_limit.kappa_estimate(prob)
     gamma_limit.write_trace_csv(report, args.out + ".csv")
@@ -386,13 +359,37 @@ _RUNNERS = {
     "cross-check": _run_cross_check,
 }
 
+# the config keys each subcommand reads (main reads ``seed`` for all of
+# them); main refuses any other key before the run starts
+_KERNEL_KEYS = {"p", "d", "kernel.shape", "kernel.c", "kernel.normalize",
+                "kernel.threshold", "kernel.lo", "kernel.hi", "kernel.a", "kernel.b",
+                "kernel.exponent", "kernel.cutoff", "kernel.knots", "kernel.values"}
+_FUNCTIONAL_KEYS = _KERNEL_KEYS | {
+    "function.kind", "function.gradient", "function.offset", "function.frequency",
+    "function.amplitude", "function.jumps", "function.levels", "function.grid_file",
+    "function.grid_format", "function.grid_spacing", "function.grid_origin",
+    "domain.lo", "domain.hi", "domain.flavor", "domain.padding",
+    "grid_n", "polar.h_min", "polar.h_max", "polar.h_steps", "polar.angle_steps",
+    "polar.allow_bounded"}
+_KEYS = {name: frozenset({"seed", *keys}) for name, keys in {
+    "validate-kernel": _KERNEL_KEYS,
+    "eval": _FUNCTIONAL_KEYS | {"delta", "scheme"},
+    "sweep": _FUNCTIONAL_KEYS | {"delta_list", "scheme"},
+    "pathology": {"delta", "delta_list", "grid_n"},
+    "step-divergence": {"p", "delta", "n_list"},
+    "kappa": _KERNEL_KEYS | {"delta", "grid_n", "kappa.iterations", "kappa.restarts",
+                             "kappa.epsilon"},
+    "cross-check": _FUNCTIONAL_KEYS | {"delta", "delta_list", "cross.budget"},
+}.items()}
+_KNOWN_KEYS = frozenset().union(*_KEYS.values())
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlsobolev",
         description="Non-local p-energy functionals: evaluation, sweeps, "
                     "pathologies, and limit-constant estimation.")
-    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", default="run", help="output path prefix")
     parser.add_argument("--seed", type=int, default=None,
@@ -403,6 +400,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = parse_config(args.config)
+        for key in cfg:
+            if key not in _KEYS[args.subcommand]:
+                raise ConfigError(f"key {key!r} is not read by {args.subcommand}")
         if args.seed is None:
             args.seed = _get_int(cfg, "seed", 0)
         meta, line, status = _RUNNERS[args.subcommand](cfg, args)

@@ -78,7 +78,6 @@ class FunctionalParams:
     p: float
     delta: float
     grid_n: int = 256
-    diagonal_policy: str = "exclude-and-bound"   # or "exclude-cell"
     polar_h_min: float = 1e-4
     polar_h_max: float = 200.0
     polar_h_steps: int = 600
@@ -90,8 +89,6 @@ class FunctionalParams:
             raise ParameterError("p must be >= 1 (p = 1 is exploration mode)")
         _require_delta(self.delta)
         _require_grid_n(self.grid_n)
-        if self.diagonal_policy not in ("exclude-cell", "exclude-and-bound"):
-            raise ParameterError(f"unknown diagonal policy {self.diagonal_policy!r}")
         if not (0 < self.polar_h_min < self.polar_h_max):
             raise ParameterError("need 0 < polar_h_min < polar_h_max")
         if self.polar_h_steps < 8 or self.polar_angle_steps < 4:
@@ -108,7 +105,7 @@ def _require_grid_n(n: int):
 @dataclass(frozen=True)
 class EvalResult:
     value: float
-    tail_bound: float     # certified mass of the excluded regions (0 = none claimed)
+    tail_bound: float     # certified bound on the excluded mass; inf when none exists
     scheme: str
 
 
@@ -401,19 +398,18 @@ def _window_bound(f: TestFunction, k: Kernel, p: float, delta: float) -> float:
 def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalResult:
     """Midpoint-rule double sum over cell pairs of the integration window.
 
-    tail_bound certifies the skipped same-cell mass (under the policy
-    ``exclude-and-bound``, for Lipschitz u) plus, for whole-space
-    domains, the pairs reaching beyond the padded window.  It is inf
-    when no finite certificate exists (e.g. step functions, where the
+    tail_bound certifies the skipped same-cell mass (for Lipschitz u,
+    from the kernel's growth constant; 0 when that constant is 0) plus,
+    for whole-space domains, the pairs reaching beyond the padded
+    window.  It is inf when no finite certificate exists (e.g. a step
+    function under a kernel with a nonzero growth constant, where the
     continuum integral itself diverges).
     """
     u, spac = sample_midpoints(f, params.grid_n)
     value = pair_sum_on_samples(u, spac, k, params.p, params.delta)
     tail = _window_bound(f, k, params.p, params.delta)
-    if params.diagonal_policy == "exclude-and-bound":
-        lip = _sampled_lipschitz(u, spac)
-        tail += _diagonal_bound(k, params.p, params.delta, lip,
-                                f.domain.window_volume, spac)
+    tail += _diagonal_bound(k, params.p, params.delta, _sampled_lipschitz(u, spac),
+                            f.domain.window_volume, spac)
     return EvalResult(value=value, tail_bound=tail, scheme="pair")
 
 

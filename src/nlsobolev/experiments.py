@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -73,9 +74,6 @@ class SweepReport:
 
     def values(self) -> list[float]:
         return [r.value for r in self.rows]
-
-    def ratios(self) -> list[float | None]:
-        return [r.ratio for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -151,10 +149,10 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
     """One row per delta: value, certificate, reference energy, ratio.
 
     ``settings`` are further ``FunctionalParams`` fields, the same for
-    every delta: ``diagonal_policy`` and the polar quadrature
-    (``polar_h_min``, ``polar_h_max``, ``polar_h_steps``,
-    ``polar_angle_steps``).  Ratios are recorded descriptively whatever
-    their size; acceptance thresholds live in the test suite, not here.
+    every delta: the polar quadrature (``polar_h_min``, ``polar_h_max``,
+    ``polar_h_steps``, ``polar_angle_steps``).  Ratios are recorded
+    descriptively whatever their size; acceptance thresholds live in the
+    test suite, not here.
     """
     ds = _check_deltas(delta_list)
     _require_resolution(f, grid_n, min(ds))
@@ -187,7 +185,7 @@ def band_pathology(delta_list=(0.75, 0.49, 0.25, 0.1),
     """
     ds = sorted({float(d) for d in delta_list}, reverse=True)
     report = delta_sweep(unit_step(-1.0, 2.0), normalize(band_kernel(1.0, 2.0), d=1, p=2.0),
-                         2.0, ds, grid_n=grid_n, diagonal_policy="exclude-cell")
+                         2.0, ds, grid_n=grid_n)
     del report.metadata["certified"]
     report.metadata.update(experiment="band_pathology",
                            note="step function: energy infinite, ratio undefined")
@@ -211,9 +209,7 @@ def step_divergence(p: float, delta: float, n_list) -> GrowthReport:
     rows = []
     prev = None
     for n in ns:
-        params = FunctionalParams(p=p, delta=delta, grid_n=n,
-                                  diagonal_policy="exclude-cell")
-        value = lambda_pair(f, k, params).value
+        value = lambda_pair(f, k, FunctionalParams(p=p, delta=delta, grid_n=n)).value
         rows.append(GrowthRow(n, value, None if prev is None else value / prev))
         prev = value
     meta = {
@@ -259,7 +255,11 @@ def write_growth_csv(report: GrowthReport, path):
 
 def write_meta(metadata: dict, path):
     """Write the run record as JSON: its keys, then the library versions,
-    then ``wall_time_s`` when the record has one."""
+    then ``wall_time_s`` when the record has one.
+
+    scipy's version is recorded only when the run loaded scipy (a sine
+    energy), so writing the record never imports it.
+    """
     from . import __version__
     meta = dict(metadata)
     wall = meta.pop("wall_time_s", None)
@@ -267,11 +267,8 @@ def write_meta(metadata: dict, path):
         "nlsobolev": __version__,
         "numpy": np.__version__,
     }
-    try:
-        import scipy
-        meta["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
+    if "scipy" in sys.modules:
+        meta["versions"]["scipy"] = sys.modules["scipy"].__version__
     if wall is not None:
         meta["wall_time_s"] = wall
     with open(path, "w") as fh:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, _require_grid_n,
-                        lambda_pair, pair_sum_on_samples, sample_midpoints)
+from .evaluator import (_KernelTerms, _lag_weights, _require_grid_n, pair_sum_on_samples,
+                        sample_midpoints)
 from .experiments import SweepReport, _require_resolution, delta_sweep, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _require_delta
@@ -46,9 +46,20 @@ __all__ = [
     "lower_bound_probe",
 ]
 
+_STEP_SHRINK = 0.5      # step factor after _PATIENCE consecutive rejections
+_PATIENCE = 50
+
 
 @dataclass(frozen=True)
 class KappaProblem:
+    """One kappa search: the functional (kernel, p, d, delta) on a grid_n
+    lattice, the proximity ball, and the search budget.
+
+    The step schedule is fixed: each restart starts at step delta, which
+    shrinks by _STEP_SHRINK after _PATIENCE consecutive rejections, down
+    to delta * 1e-4.
+    """
+
     kernel: Kernel
     delta: float
     grid_n: int
@@ -57,9 +68,6 @@ class KappaProblem:
     epsilon: float | None = None      # L^p proximity budget; default 0.1 * ||U||_p
     iterations: int = 2000            # single-coordinate proposals per restart
     restarts: int = 5                 # restart 0 starts exactly at U
-    step_init: float | None = None    # default: delta
-    step_shrink: float = 0.5
-    patience: int = 50                # consecutive rejections before shrinking
     seed: int = 0
     threads: int = 1                  # validated only; results never depend on it
     profile: TestFunction | None = None   # override: e.g. an affine on a dilated box
@@ -75,10 +83,6 @@ class KappaProblem:
             raise ParameterError("need iterations >= 0 and restarts >= 1")
         if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
             raise ParameterError("epsilon must be finite and nonnegative")
-        if self.step_init is not None and not 0.0 < self.step_init < math.inf:
-            raise ParameterError("step_init must be finite and positive")
-        if not 0.0 < self.step_shrink < math.inf:
-            raise ParameterError("step_shrink must be finite and positive")
         if self.epsilon == 0.0 and (self.iterations > 0 or self.restarts > 1):
             raise ParameterError("epsilon = 0 leaves no room for perturbations")
         if self.threads < 1:
@@ -106,12 +110,6 @@ class KappaReport:
             "iterations_recorded": len(self.trace),
             **self.metadata,
         }
-
-
-def _default_profile(prob: KappaProblem) -> TestFunction:
-    if prob.profile is not None:
-        return prob.profile
-    return cube_profile(prob.d)
 
 
 class _PairObjective:
@@ -149,14 +147,13 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     found, and U itself is always a feasible starting point, so
     kappa_hat <= baseline up to round-off.
     """
-    profile = _default_profile(prob)
+    profile = prob.profile or cube_profile(prob.d)
     _require_resolution(profile, prob.grid_n, prob.delta)
     u_ref, spac = sample_midpoints(profile, prob.grid_n)
     cell_vol = float(np.prod(spac))
     norm_u = discrete_lp_norm(u_ref, cell_vol, prob.p)
     eps = prob.epsilon if prob.epsilon is not None else 0.1 * norm_u
     eps_pow = eps ** prob.p
-    step0 = prob.step_init if prob.step_init is not None else prob.delta
 
     obj = _PairObjective(prob.kernel, prob.p, prob.delta, spac, u_ref.shape)
     rng = np.random.default_rng(prob.seed)
@@ -182,7 +179,7 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
             v = u_ref + pert
             s = obj.full(v)
             prox_pow = float(np.sum(np.abs(v - u_ref) ** prob.p) * cell_vol)
-        step = step0
+        step = prob.delta
         fails = 0
 
         for _ in range(prob.iterations):
@@ -216,8 +213,8 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
                     best_prox = (max(prox_pow, 0.0)) ** (1.0 / prob.p)
             else:
                 fails += 1
-                if fails >= prob.patience:
-                    step = max(step * prob.step_shrink, step0 * 1e-4)
+                if fails >= _PATIENCE:
+                    step = max(step * _STEP_SHRINK, prob.delta * 1e-4)
                     fails = 0
             trace.append((it_global, best_obj, best_prox))
 
@@ -302,6 +299,9 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
     infimum) is loose at this resolution, never as a failure of the
     variational inequality itself.
     """
+    if not p >= 1:
+        raise ParameterError("p must be >= 1")
+    _require_grid_n(grid_n)
     ds = [float(d) for d in delta_list]
     for d in ds:
         _require_delta(d)
@@ -314,7 +314,7 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
         fam_rows = []
         for d in ds:
             gd = fam.make(d)
-            gd_samples, spac2 = sample_midpoints(gd, grid_n)
+            gd_samples, gd_spac = sample_midpoints(gd, grid_n)
             if gd_samples.shape != g_samples.shape:
                 raise ParameterError(f"family {fam.name!r} changed the grid shape")
             prox = discrete_lp_norm(gd_samples - g_samples, cell_vol, p)
@@ -323,8 +323,7 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
                 raise ParameterError(
                     f"family {fam.name!r} violates its proximity schedule at "
                     f"delta={d}: {prox:.3g} > {budget:.3g}")
-            params = FunctionalParams(p=p, delta=d, grid_n=grid_n)
-            value = lambda_pair(gd, k, params).value
+            value = pair_sum_on_samples(gd_samples, gd_spac, k, p, d)
             row = ProbeRow(fam.name, d, value, prox, budget)
             rows.append(row)
             fam_rows.append(row)

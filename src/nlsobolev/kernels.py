@@ -71,12 +71,12 @@ class Kernel:
     """Immutable kernel description: a dimensionless shape times a scale.
 
     The growth and bound constants depend on p and are computed on
-    demand by ``growth_constant`` and ``bound_constant``.
+    demand by ``growth_constant`` and ``bound_constant``; monotonicity
+    follows from the shape alone (``monotone``).
     """
 
     shape: str
     scale_c: float = 1.0
-    monotone: bool = True
     threshold: float = 1.0          # indicator
     lo: float = 1.0                 # band support (lo, hi)
     hi: float = 2.0
@@ -90,8 +90,25 @@ class Kernel:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ParameterError(f"unknown kernel shape {self.shape!r}")
-        if self.scale_c < 0:
-            raise ParameterError("kernel scale must be nonnegative")
+        if not 0 <= self.scale_c < math.inf:    # NaN included
+            raise ParameterError("kernel scale must be finite and nonnegative")
+
+    @property
+    def monotone(self) -> bool:
+        """phi is non-decreasing on [0, inf); phi = 0 when the scale is 0.
+
+        Indicator and power-cutoff always are, band never is (it drops
+        back to 0 at hi), the envelope is when its rise ends below the
+        plateau (a <= b), and a tabulated kernel is when its knot values
+        are, since each value is attained or is a one-sided limit.
+        """
+        if self.scale_c == 0 or self.shape in ("indicator", "power-cutoff"):
+            return True
+        if self.shape == "band":
+            return False
+        if self.shape == "envelope":
+            return self.env_a <= self.env_b
+        return all(v0 <= v1 for v0, v1 in zip(self.values, self.values[1:]))
 
     def describe(self) -> dict:
         """Plain-dict summary for report metadata."""
@@ -117,14 +134,14 @@ def indicator_kernel(c: float = 1.0, threshold: float = 1.0) -> Kernel:
     """c * 1_(threshold, inf): zero up to the threshold, constant above."""
     if not threshold > 0:
         raise ParameterError("indicator threshold must be positive")
-    return Kernel("indicator", scale_c=c, monotone=True, threshold=threshold)
+    return Kernel("indicator", scale_c=c, threshold=threshold)
 
 
 def band_kernel(lo: float = 1.0, hi: float = 2.0, c: float = 1.0) -> Kernel:
     """c * 1_(lo, hi): supported on an interval, hence not monotone."""
     if not (0 < lo < hi):
         raise ParameterError("band requires 0 < lo < hi")
-    return Kernel("band", scale_c=c, monotone=False, lo=lo, hi=hi)
+    return Kernel("band", scale_c=c, lo=lo, hi=hi)
 
 
 def envelope_kernel(a: float, b: float, p: float, c: float = 1.0) -> Kernel:
@@ -133,22 +150,20 @@ def envelope_kernel(a: float, b: float, p: float, c: float = 1.0) -> Kernel:
     This is the canonical non-decreasing majorant of any kernel with
     growth constant a and sup b (non-decreasing when a <= b).
     """
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ParameterError("envelope coefficients must be nonnegative")
     if not p > 0:
         raise ParameterError("envelope exponent requires p > 0")
-    return Kernel("envelope", scale_c=c, monotone=(a <= b), env_a=a, env_b=b,
-                  exponent=p + 1.0)
+    return Kernel("envelope", scale_c=c, env_a=a, env_b=b, exponent=p + 1.0)
 
 
 def power_cutoff_kernel(exponent: float, cutoff: float = 1.0, c: float = 1.0) -> Kernel:
     """c * min(t, cutoff)^exponent; cutoff=inf gives the raw (unbounded) power."""
-    if exponent <= 0:
+    if not exponent > 0:
         raise ParameterError("power exponent must be positive")
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ParameterError("cutoff must be positive (use inf for no cutoff)")
-    return Kernel("power-cutoff", scale_c=c, monotone=True, exponent=exponent,
-                  cutoff=cutoff)
+    return Kernel("power-cutoff", scale_c=c, exponent=exponent, cutoff=cutoff)
 
 
 def tabulated_kernel(knots, values, c: float = 1.0) -> Kernel:
@@ -162,13 +177,13 @@ def tabulated_kernel(knots, values, c: float = 1.0) -> Kernel:
     values = [float(v) for v in values]
     if len(knots) != len(values) or len(knots) < 1:
         raise ParameterError("knots and values must be equal-length, non-empty")
-    if any(t1 > t2 for t1, t2 in zip(knots, knots[1:])):
+    if not all(t1 <= t2 for t1, t2 in zip(knots, knots[1:])):
         raise ParameterError("knots must be non-decreasing")
     if any(knots.count(t) > 2 for t in knots):
         raise ParameterError("a knot may repeat at most twice (one jump)")
-    if any(v < 0 for v in values):
+    if not all(v >= 0 for v in values):
         raise ParameterError("kernel values must be nonnegative")
-    if knots[0] < 0:
+    if not knots[0] >= 0:
         raise ParameterError("knots must be nonnegative")
     if knots[0] == 0.0:
         if values[0] != 0.0:
@@ -176,9 +191,7 @@ def tabulated_kernel(knots, values, c: float = 1.0) -> Kernel:
     else:
         knots = [0.0] + knots
         values = [0.0] + values
-    monotone = bool(np.all(np.diff(values) >= 0))
-    return Kernel("tabulated", scale_c=c, monotone=monotone, knots=tuple(knots),
-                  values=tuple(values))
+    return Kernel("tabulated", scale_c=c, knots=tuple(knots), values=tuple(values))
 
 
 def envelope_for(k: Kernel, p: float) -> Kernel:
@@ -459,19 +472,6 @@ class KernelValidationReport:
         return out
 
 
-def _discontinuities(k: Kernel) -> list[float]:
-    if k.shape == "indicator":
-        return [k.threshold]
-    if k.shape == "band":
-        return [k.lo, k.hi]
-    if k.shape == "envelope":
-        return [1.0]
-    if k.shape == "tabulated":
-        kts = list(k.knots)
-        return [t for i, t in enumerate(kts[:-1]) if kts[i + 1] == t and t > 0]
-    return []
-
-
 def validate(k: Kernel, p: float, d: int = 1) -> KernelValidationReport:
     """Check the structural conditions and record the calibration value.
 
@@ -481,23 +481,6 @@ def validate(k: Kernel, p: float, d: int = 1) -> KernelValidationReport:
         raise ParameterError("validation is defined for p > 1")
     ratio = growth_constant(k, p)
     sup = bound_constant(k)
-
-    # monotonicity by dense sampling plus the jump points from both sides
-    t_hi = 3.0
-    for pt in (k.threshold, k.hi, k.cutoff, (k.knots[-1] if k.knots else 0.0)):
-        if math.isfinite(pt):
-            t_hi = max(t_hi, 1.5 * pt)
-    grid = np.concatenate([
-        np.linspace(0.0, t_hi, 801),
-        np.geomspace(1e-8, t_hi, 400),
-    ])
-    for t0 in _discontinuities(k):
-        grid = np.append(grid, [np.nextafter(t0, -np.inf), t0, np.nextafter(t0, np.inf)])
-    grid = np.unique(grid)
-    phi = np.asarray(eval_kernel(k, grid))
-    tol = 1e-12 * (1.0 + (sup if math.isfinite(sup) else 0.0))
-    monotone_ok = bool(np.all(np.diff(phi) >= -tol))
-
     try:
         norm_value = gamma_dp(d, p) * normalization_integral(k, p)
     except KernelValidationError:
@@ -508,6 +491,6 @@ def validate(k: Kernel, p: float, d: int = 1) -> KernelValidationReport:
         growth_ratio=ratio,
         cond_bounded_ok=math.isfinite(sup),
         sup_value=sup,
-        cond_monotone_ok=monotone_ok,
+        cond_monotone_ok=k.monotone,
         normalization_value=norm_value,
     )

@@ -377,7 +377,6 @@ delta = 0.1
 grid_n = 512
 kappa.iterations = 300
 kappa.restarts = 2
-kappa.patience = 5
 """
 
 
@@ -393,22 +392,19 @@ polar.allow_bounded = true
 
 
 @pytest.mark.parametrize("case", ["eval-delta-nan", "eval-delta-inf", "sweep-delta-nan",
-                                  "step-divergence-n_list-1e400", "kappa-step_init-nan",
-                                  "kappa-step_shrink-nan", "kappa-epsilon-nan",
+                                  "step-divergence-n_list-1e400", "kappa-epsilon-nan",
                                   "eval-threshold-nan", "sweep-grid_n-0",
                                   "pathology-grid_n-0", "kappa-grid_n-0",
                                   "step-divergence-n_list-0", "kappa-grid_n-negative",
                                   "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel",
                                   "eval-polar-overflowing-kernel",
-                                  "cross-check-diagonal_policy-bogus",
                                   "pathology-delta_list-empty",
                                   "cross-check-delta_list-empty"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
-    # a NaN kappa step is "accepted" (phi(nan) counts 0), a NaN epsilon disables
-    # the search, a NaN indicator threshold gives value 0, grid_n = 0 divides by
-    # zero, an overflowing kernel gives kappa_hat=inf or a polar value=inf,
-    # cross-check drops diagonal_policy, an empty delta_list passes cross-check
+    # a NaN epsilon disables the search, a NaN indicator threshold gives
+    # value 0, grid_n = 0 divides by zero, an overflowing kernel gives
+    # kappa_hat=inf or a polar value=inf, an empty delta_list passes cross-check
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -419,10 +415,6 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
         "step-divergence-n_list-1e400": ("step-divergence",
                                          "p = 2\ndelta = 0.1\nn_list = 512, 1e400\n",
                                          "'n_list': expected an integer"),
-        "kappa-step_init-nan": ("kappa", KAPPA_CONF + "kappa.step_init = nan\n",
-                                "step_init must be finite and positive"),
-        "kappa-step_shrink-nan": ("kappa", KAPPA_CONF + "kappa.step_shrink = nan\n",
-                                  "step_shrink must be finite and positive"),
         "kappa-epsilon-nan": ("kappa", KAPPA_CONF + "kappa.epsilon = nan\n",
                               "epsilon must be finite and nonnegative"),
         "eval-threshold-nan": ("eval", "kernel.shape = indicator\nkernel.threshold = nan\n"
@@ -456,9 +448,6 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                                   "grid_n = 128\nscheme = polar\n"
                                                   "polar.h_steps = 32\n",
                                           "non-finite polar sum"),
-        "cross-check-diagonal_policy-bogus": ("cross-check",
-                                              CROSS_AFFINE + "diagonal_policy = bogus\n",
-                                              "unknown diagonal policy 'bogus'"),
         "pathology-delta_list-empty": ("pathology", "delta_list =\ngrid_n = 512\n",
                                        "'delta_list': empty list"),
         "cross-check-delta_list-empty": ("cross-check", CROSS_AFFINE + "delta_list =\n",
@@ -472,8 +461,8 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
 
-def test_cross_check_honours_diagonal_policy(tmp_path):
-    conf = write_config(tmp_path, CROSS_AFFINE + "diagonal_policy = exclude-cell\n")
+def test_cross_check_tail_is_the_sum_of_both_certificates(tmp_path):
+    conf = write_config(tmp_path, CROSS_AFFINE)
     out = str(tmp_path / "x")
     res = run_cli("cross-check", "--config", conf, "--out", out)
     assert res.returncode in (0, 1), res.stderr
@@ -481,13 +470,70 @@ def test_cross_check_honours_diagonal_policy(tmp_path):
         tail = float(list(csv.DictReader(fh))[0]["combined_tail"])
     cfg = cli.parse_config(conf)
     k, f = cli.build_kernel(cfg, 1, 2.0), cli.build_function(cfg, 1)
-    tails = {}
-    for policy in ("exclude-cell", "exclude-and-bound"):
-        params = FunctionalParams(p=2.0, delta=0.1, grid_n=256, diagonal_policy=policy)
-        tails[policy] = (lambda_pair(f, k, params).tail_bound
-                         + lambda_polar(f, k, params, allow_bounded=True).tail_bound)
-    assert tail == tails["exclude-cell"]
-    assert tail < tails["exclude-and-bound"]
+    params = FunctionalParams(p=2.0, delta=0.1, grid_n=256)
+    assert tail == (lambda_pair(f, k, params).tail_bound
+                    + lambda_polar(f, k, params, allow_bounded=True).tail_bound)
+
+
+PATHOLOGY_CONF = "delta = 0.25\ngrid_n = 512\n"
+STEP_CONF = "p = 2\ndelta = 0.1\nn_list = 512, 1024\n"
+KERNEL_CONF = "kernel.shape = indicator\nkernel.normalize = true\np = 2\n"
+
+
+@pytest.mark.parametrize("sub, text, key", [
+    ("pathology", PATHOLOGY_CONF + "p = 3\n", "p"),
+    ("pathology", PATHOLOGY_CONF + "kernel.shape = indicator\n", "kernel.shape"),
+    ("pathology", PATHOLOGY_CONF + "diagonal_policy = exclude-and-bound\n",
+     "diagonal_policy"),
+    ("step-divergence", STEP_CONF + "kernel.shape = band\n", "kernel.shape"),
+    ("step-divergence", STEP_CONF + "grid_n = 64\n", "grid_n"),
+    ("kappa", KAPPA_CONF + "function.kind = sine\n", "function.kind"),
+    ("validate-kernel", KERNEL_CONF + "delta_list = 0.1\n", "delta_list"),
+    ("sweep", SWEEP_CONF + "delta = 0.1\n", "delta"),
+    # keys that no subcommand reads any more
+    ("kappa", KAPPA_CONF + "kappa.step_init = nan\n", "kappa.step_init"),
+    ("kappa", KAPPA_CONF + "kappa.step_shrink = nan\n", "kappa.step_shrink"),
+    ("kappa", KAPPA_CONF + "kappa.patience = 5\n", "kappa.patience"),
+    ("cross-check", CROSS_AFFINE + "diagonal_policy = bogus\n", "diagonal_policy"),
+    ("eval", AFFINE_EVAL + "grid_n = 256\ndiagonal_policy = exclude-cell\n",
+     "diagonal_policy"),
+], ids=["pathology-p", "pathology-kernel.shape", "pathology-diagonal_policy",
+        "step-divergence-kernel.shape", "step-divergence-grid_n", "kappa-function.kind",
+        "validate-kernel-delta_list", "sweep-delta", "kappa-step_init-nan",
+        "kappa-step_shrink-nan", "kappa-patience", "cross-check-diagonal_policy-bogus",
+        "eval-diagonal_policy"])
+def test_unread_key_exits_2(tmp_path, sub, text, key):
+    # a key the run does not read would be dropped unseen: pathology always
+    # runs the band kernel at p = 2, kappa always estimates the cube profile
+    conf = write_config(tmp_path, text)
+    res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
+    assert res.returncode == 2, res.stdout
+    assert res.stderr.startswith("error:")
+    assert repr(key) in res.stderr
+    assert res.stdout == ""
+    assert not list(tmp_path.glob("e.*"))      # no CSV, no meta.json
+
+
+def test_sweep_process_loads_no_scipy(tmp_path):
+    # a whole affine sweep, meta.json included, never imports scipy
+    conf = write_config(tmp_path, SWEEP_CONF)
+    code = ("import sys; from nlsobolev import cli; "
+            f"assert cli.main(['sweep', '--config', {conf!r}, '--out', "
+            f"{str(tmp_path / 's')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+    assert "scipy" not in json.loads((tmp_path / "s.meta.json").read_text())["versions"]
+
+
+def test_sine_eval_records_scipy_version(tmp_path):
+    import scipy
+    conf = write_config(tmp_path, "kernel.shape = indicator\nkernel.normalize = true\n"
+                                  "function.kind = sine\ndelta = 0.1\ngrid_n = 256\n")
+    assert run_cli("eval", "--config", conf, "--out", str(tmp_path / "e")).returncode == 0
+    meta = json.loads((tmp_path / "e.meta.json").read_text())
+    assert meta["versions"]["scipy"] == scipy.__version__
 
 
 @pytest.mark.parametrize("kind", ["affine", "step"])

@@ -296,8 +296,7 @@ def test_affine_closed_form_medium_grid():
 def test_band_kernel_step_exact_zero():
     k = nl.normalize(nl.band_kernel(1, 2), 1, 2.0)
     f = nl.unit_step(-1.0, 2.0)
-    params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=512,
-                                 diagonal_policy="exclude-cell")
+    params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=512)
     assert nl.lambda_pair(f, k, params).value == 0.0
 
 
@@ -322,7 +321,7 @@ def test_kernel_monotonicity_transfer():
 
 
 def test_diagonal_certificate_for_lipschitz():
-    # exclude-and-bound certifies finite skipped mass for Lipschitz data
+    # the skipped same-cell mass has a finite certificate for Lipschitz data
     k = nl.normalize(nl.envelope_kernel(1, 1, 2.0), 1, 2.0)
     f = nl.affine_function([1.0], 0.0, nl.bounded_box([0.0], [1.0]))
     res = nl.lambda_pair(f, k, nl.FunctionalParams(p=2.0, delta=0.1, grid_n=256))
@@ -624,8 +623,6 @@ def test_params_validation():
         nl.FunctionalParams(p=2.0, delta=-1.0)
     with pytest.raises(ParameterError):
         nl.FunctionalParams(p=2.0, delta=0.1, grid_n=8)
-    with pytest.raises(ParameterError):
-        nl.FunctionalParams(p=2.0, delta=0.1, diagonal_policy="drop")
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])

@@ -121,16 +121,14 @@ def test_sweep_forwards_settings_to_each_delta():
     # every row is the scheme's value at FunctionalParams(p, delta, grid_n, **settings)
     f = nl.windowed_sine(frequency=1.0, amplitude=1.0, padding=1.0)
     k = nl.normalize(nl.envelope_kernel(1.0, 1.0, 2.0), 1, 2.0)
-    settings = {"diagonal_policy": "exclude-cell", "polar_h_min": 1e-3,
-                "polar_h_max": 50.0, "polar_h_steps": 65, "polar_angle_steps": 8}
+    settings = {"polar_h_min": 1e-3, "polar_h_max": 50.0, "polar_h_steps": 65,
+                "polar_angle_steps": 8}
     for scheme, run in (("pair", nl.lambda_pair), ("polar", nl.lambda_polar)):
         rep = nl.delta_sweep(f, k, 2.0, [0.4, 0.2], grid_n=256, scheme=scheme, **settings)
         for row in rep.rows:
             res = run(f, k, nl.FunctionalParams(p=2.0, delta=row.delta, grid_n=256,
                                                 **settings))
             assert (row.value, row.tail_bound) == (res.value, res.tail_bound)
-    with pytest.raises(ParameterError, match="unknown diagonal policy"):
-        nl.delta_sweep(f, k, 2.0, [0.4], grid_n=256, diagonal_policy="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +149,10 @@ def test_band_pathology_positive_above_half():
 
 
 def test_band_pathology_is_a_sweep_of_the_step():
-    # a pair sweep under exclude-cell, deltas deduplicated largest first,
-    # with its own metadata
+    # a pair sweep, deltas deduplicated largest first, with its own metadata
     rep = nl.band_pathology([0.1, 0.75, 0.1], grid_n=512)
     sweep = nl.delta_sweep(nl.unit_step(-1.0, 2.0), nl.normalize(nl.band_kernel(1, 2), 1, 2.0),
-                           2.0, [0.75, 0.1], grid_n=512, diagonal_policy="exclude-cell")
+                           2.0, [0.75, 0.1], grid_n=512)
     assert rep.rows == sweep.rows
     assert list(rep.metadata) == ["experiment", "kernel", "function", "p", "grid_n",
                                   "scheme", "note"]
@@ -204,8 +201,7 @@ def test_step_divergence_constant_zero():
     k = nl.normalize(nl.indicator_kernel(), 1, 2.0)
     f = nl.affine_function([0.0], 1.0, nl.bounded_box([-1.0], [2.0]))
     for n in (512, 1024):
-        params = FunctionalParams(p=2.0, delta=0.1, grid_n=n,
-                                  diagonal_policy="exclude-cell")
+        params = FunctionalParams(p=2.0, delta=0.1, grid_n=n)
         assert lambda_pair(f, k, params).value == 0.0
 
 

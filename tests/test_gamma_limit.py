@@ -164,6 +164,13 @@ def test_lower_bound_probe_sawtooth_family():
     rep = nl.lower_bound_probe(g, [fam], _indicator(), 2.0, [0.2, 0.1], grid_n=1024,
                                kappa_hat=0.8, tolerance=0.05)
     assert all(r.proximity <= r.budget * (1 + 1e-9) for r in rep.rows)
+    # each value is the pair sum of the family member, bit for bit
+    for row in rep.rows:
+        params = nl.FunctionalParams(p=2.0, delta=row.delta, grid_n=1024)
+        assert row.value == nl.lambda_pair(make(row.delta), _indicator(), params).value
+    for p, grid_n in ((0.5, 1024), (2.0, 8)):
+        with pytest.raises(ParameterError):
+            nl.lower_bound_probe(g, [fam], _indicator(), p, [0.2], grid_n=grid_n)
 
 
 def test_lower_bound_probe_rejects_budget_violation():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as euler_gamma, gammaln
 
 import nlsobolev as nl
@@ -267,6 +269,70 @@ def test_validate_band_fails_monotonicity():
     assert not rep.cond_monotone_ok
     assert rep.cond_growth_ok and rep.cond_bounded_ok
     assert "monotonicity" in rep.failures()
+
+
+_HALVES = st.integers(0, 8).map(lambda i: i / 2)   # dyadic: the kernel's sums are exact
+
+
+@st.composite
+def _any_kernel(draw):
+    c = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    shape = draw(st.sampled_from(["indicator", "band", "envelope", "power-cutoff",
+                                  "tabulated"]))
+    if shape == "indicator":
+        return nl.indicator_kernel(c, draw(st.floats(0.05, 5.0)))
+    if shape == "band":
+        lo = draw(st.floats(0.05, 4.0))
+        return nl.band_kernel(lo, lo + draw(st.floats(0.01, 3.0)), c)
+    if shape == "envelope":
+        return nl.envelope_kernel(draw(_HALVES), draw(_HALVES), draw(st.floats(1.1, 4.0)), c)
+    if shape == "power-cutoff":
+        return nl.power_cutoff_kernel(draw(st.floats(0.1, 5.0)),
+                                      draw(st.one_of(st.floats(0.1, 5.0), st.just(math.inf))),
+                                      c)
+    knots = sorted(t / 4 for t in draw(st.lists(st.integers(1, 16), min_size=1, max_size=6)))
+    assume(all(knots.count(t) <= 2 for t in knots))
+    return nl.tabulated_kernel(knots, draw(st.lists(_HALVES, min_size=len(knots),
+                                                    max_size=len(knots))), c)
+
+
+def _sampled_monotone(k) -> bool:
+    """phi non-decreasing on a dense grid plus both sides of every edge a shape has."""
+    edges = [k.threshold, k.lo, k.hi, 1.0, *k.knots]
+    if math.isfinite(k.cutoff):
+        edges.append(k.cutoff)
+    top = 2.0 * max(edges) + 1.0
+    t = np.concatenate([np.linspace(0.0, top, 4001), np.geomspace(1e-9, top, 500),
+                        *([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+                          for e in edges)])
+    phi = np.asarray(nl.eval_kernel(k, np.unique(np.clip(t, 0.0, None))))
+    return bool(np.all(np.diff(phi) >= 0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=_any_kernel())
+def test_monotone_is_decided_by_the_shape(k):
+    assert k.monotone == _sampled_monotone(k)
+    assert nl.validate(k, 2.0).cond_monotone_ok == k.monotone
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nl.indicator_kernel(c=math.nan),
+    lambda: nl.band_kernel(c=math.inf),
+    lambda: nl.envelope_kernel(math.nan, 1.0, 2.0),
+    lambda: nl.envelope_kernel(1.0, math.nan, 2.0),
+    lambda: nl.power_cutoff_kernel(math.nan),
+    lambda: nl.power_cutoff_kernel(3.0, math.nan),
+    lambda: nl.tabulated_kernel([0.5, 1.0], [math.nan, 1.0]),
+    lambda: nl.tabulated_kernel([0.5, math.nan], [0.0, 1.0]),
+    lambda: nl.tabulated_kernel([math.nan], [1.0]),
+], ids=["scale", "scale-inf", "envelope-a", "envelope-b", "exponent", "cutoff", "tabulated-value",
+        "tabulated-knot", "tabulated-first-knot"])
+def test_nan_kernel_parameter_refused(make):
+    # a NaN (or an infinite scale, as inf * 0) makes phi NaN, which no
+    # monotonicity or growth verdict describes
+    with pytest.raises(ParameterError):
+        make()
 
 
 def test_validate_unbounded_power_fails_boundedness():
