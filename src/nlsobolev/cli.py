@@ -26,9 +26,9 @@ Config lines are `key = value` with dotted sections, e.g.::
     delta_list = 0.4, 0.2, 0.1, 0.05
     grid_n = 4096
 
-A key the subcommand does not read is rejected (``_KEYS`` lists the
-keys of each subcommand).  Identical config and seed reproduce the CSV
-byte-for-byte (the meta file carries wall time and may differ).
+A key the run does not read is rejected (``_refuse_unread``).  Identical
+config and seed reproduce the CSV byte-for-byte (the meta file carries
+wall time and may differ).
 """
 
 from __future__ import annotations
@@ -144,22 +144,18 @@ def build_kernel(cfg: dict, d: int, p: float) -> kernels.Kernel:
 def _build_domain(cfg: dict, d: int) -> functions.Domain:
     lo = _get_list(cfg, "domain.lo", [0.0] * d)
     hi = _get_list(cfg, "domain.hi", [1.0] * d)
-    flavor = cfg.get("domain.flavor", "bounded")
-    if flavor == "whole-space":
-        return functions.whole_space(lo, hi, _get_float(cfg, "domain.padding", 1.0))
-    if flavor != "bounded":
-        raise ConfigError(f"unknown domain.flavor {flavor!r}")
-    return functions.bounded_box(lo, hi)
+    for key, bound in (("domain.lo", lo), ("domain.hi", hi)):
+        if len(bound) != d:
+            raise ConfigError(f"key {key!r} has {len(bound)} entries, but d = {d}")
+    flavor = cfg.get("domain.flavor", "bounded")       # Domain refuses an unknown one
+    padding = _get_float(cfg, "domain.padding", 1.0) if flavor == "whole-space" else 0.0
+    return functions.Domain(d, tuple(lo), tuple(hi), flavor, padding)
 
 
 def build_function(cfg: dict, d: int) -> functions.TestFunction:
     kind = cfg.get("function.kind")
     if kind is None:
         raise ConfigError("missing required key 'function.kind'")
-    if kind == "cube-profile":
-        if "domain.lo" in cfg or "domain.hi" in cfg:
-            return functions.cube_profile(d, _build_domain(cfg, d))
-        return functions.cube_profile(d)
     if kind == "grid":
         path = cfg.get("function.grid_file")
         if path is None:
@@ -180,9 +176,11 @@ def build_function(cfg: dict, d: int) -> functions.TestFunction:
         spacing = _get_float(cfg, "function.grid_spacing")
         origin = _get_list(cfg, "function.grid_origin", [0.0] * values.ndim)
         flavor = cfg.get("domain.flavor", "bounded")
-        padding = _get_float(cfg, "domain.padding", 0.0)
+        padding = _get_float(cfg, "domain.padding", 0.0) if flavor == "whole-space" else 0.0
         return functions.grid_function(values, origin, spacing, flavor, padding)
     dom = _build_domain(cfg, d)
+    if kind == "cube-profile":
+        return functions.cube_profile(d, dom)
     if kind == "affine":
         return functions.affine_function(_get_list(cfg, "function.gradient", [1.0] * d),
                                          _get_float(cfg, "function.offset", 0.0), dom)
@@ -255,9 +253,7 @@ def _run_eval(cfg, args):
     f = build_function(cfg, d)
     params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"), **_settings(cfg))
     scheme = cfg.get("scheme", "pair")
-    row = experiments._sweep_row(f, k, params, scheme,
-                                 _get_bool(cfg, "polar.allow_bounded"),
-                                 functions.sobolev_energy(f, p))
+    row = experiments._sweep_row(f, k, params, scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
     return ({"threads": _threads(scheme), "kernel": k.describe(),
              "function": f.describe(), "scheme": scheme},
@@ -268,9 +264,8 @@ def _run_sweep(cfg, args):
     p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
     scheme = cfg.get("scheme", "pair")
-    report = experiments.delta_sweep(
-        f, k, p, _get_list(cfg, "delta_list"), scheme=scheme,
-        allow_bounded_polar=_get_bool(cfg, "polar.allow_bounded"), **_settings(cfg))
+    report = experiments.delta_sweep(f, k, p, _get_list(cfg, "delta_list"), scheme=scheme,
+                                     **_settings(cfg))
     experiments.write_sweep_csv(report, args.out + ".csv")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
@@ -322,7 +317,6 @@ def _run_cross_check(cfg, args):
     deltas = _deltas(cfg)
     budget = _get_float(cfg, "cross.budget", 0.02)
     settings = _settings(cfg)
-    allow_bounded = _get_bool(cfg, "polar.allow_bounded")
     rows = []
     tail_over_value = []     # how much of the values the certificates cover
     worst = 0.0
@@ -330,7 +324,7 @@ def _run_cross_check(cfg, args):
     for delta in deltas:
         params = FunctionalParams(p=p, delta=delta, **settings)
         pr = lambda_pair(f, k, params)
-        po = lambda_polar(f, k, params, allow_bounded=allow_bounded)
+        po = lambda_polar(f, k, params)
         ref = max(pr.value, po.value, np.finfo(float).eps)
         gap = abs(pr.value - po.value)
         tail = pr.tail_bound + po.tail_bound
@@ -359,18 +353,25 @@ _RUNNERS = {
     "cross-check": _run_cross_check,
 }
 
-# the config keys each subcommand reads (main reads ``seed`` for all of
-# them); main refuses any other key before the run starts
-_KERNEL_KEYS = {"p", "d", "kernel.shape", "kernel.c", "kernel.normalize",
-                "kernel.threshold", "kernel.lo", "kernel.hi", "kernel.a", "kernel.b",
-                "kernel.exponent", "kernel.cutoff", "kernel.knots", "kernel.values"}
-_FUNCTIONAL_KEYS = _KERNEL_KEYS | {
-    "function.kind", "function.gradient", "function.offset", "function.frequency",
-    "function.amplitude", "function.jumps", "function.levels", "function.grid_file",
-    "function.grid_format", "function.grid_spacing", "function.grid_origin",
-    "domain.lo", "domain.hi", "domain.flavor", "domain.padding",
-    "grid_n", "polar.h_min", "polar.h_max", "polar.h_steps", "polar.angle_steps",
-    "polar.allow_bounded"}
+# the config keys read by each subcommand (and ``seed`` by main for all), kernel
+# shape, function kind and domain flavor; _refuse_unread refuses the others
+_SHAPE_KEYS = {"indicator": {"kernel.threshold"}, "band": {"kernel.lo", "kernel.hi"},
+               "envelope": {"kernel.a", "kernel.b"},
+               "power-cutoff": {"kernel.exponent", "kernel.cutoff"},
+               "tabulated": {"kernel.knots", "kernel.values"}}
+_BOX_KEYS = {"domain.lo", "domain.hi"}          # a grid's box is its lattice
+_KIND_KEYS = {"affine": _BOX_KEYS | {"function.gradient", "function.offset"},
+              "cube-profile": _BOX_KEYS,
+              "sine": _BOX_KEYS | {"function.frequency", "function.amplitude"},
+              "step": _BOX_KEYS | {"function.jumps", "function.levels"},
+              "grid": {"function.grid_file", "function.grid_format",
+                       "function.grid_spacing", "function.grid_origin"}}
+_FLAVOR_KEYS = {"bounded": set(), "whole-space": {"domain.padding"}}
+_KERNEL_KEYS = {"p", "d", "kernel.shape", "kernel.c",
+                "kernel.normalize"}.union(*_SHAPE_KEYS.values())
+_FUNCTIONAL_KEYS = _KERNEL_KEYS.union(*_KIND_KEYS.values(), *_FLAVOR_KEYS.values()) | {
+    "function.kind", "domain.flavor", "grid_n", "polar.h_min", "polar.h_max",
+    "polar.h_steps", "polar.angle_steps"}
 _KEYS = {name: frozenset({"seed", *keys}) for name, keys in {
     "validate-kernel": _KERNEL_KEYS,
     "eval": _FUNCTIONAL_KEYS | {"delta", "scheme"},
@@ -382,6 +383,20 @@ _KEYS = {name: frozenset({"seed", *keys}) for name, keys in {
     "cross-check": _FUNCTIONAL_KEYS | {"delta", "delta_list", "cross.budget"},
 }.items()}
 _KNOWN_KEYS = frozenset().union(*_KEYS.values())
+
+
+def _refuse_unread(cfg: dict, subcommand: str):
+    """Refuse, naming it, a key of a subcommand, shape, kind or flavor not chosen."""
+    for name, chosen, table in (
+            ("subcommand", subcommand, _KEYS),
+            ("kernel.shape", cfg.get("kernel.shape"), _SHAPE_KEYS),
+            ("function.kind", cfg.get("function.kind"), _KIND_KEYS),
+            ("domain.flavor", cfg.get("domain.flavor", "bounded"), _FLAVOR_KEYS)):
+        if chosen in table:           # an unknown choice is its builder's error
+            unread = set().union(*table.values()) - table[chosen]
+            for key in cfg:
+                if key in unread:
+                    raise ConfigError(f"key {key!r} is not read by {name} = {chosen}")
 
 
 def main(argv=None) -> int:
@@ -400,9 +415,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = parse_config(args.config)
-        for key in cfg:
-            if key not in _KEYS[args.subcommand]:
-                raise ConfigError(f"key {key!r} is not read by {args.subcommand}")
+        _refuse_unread(cfg, args.subcommand)
         if args.seed is None:
             args.seed = _get_int(cfg, "seed", 0)
         meta, line, status = _RUNNERS[args.subcommand](cfg, args)

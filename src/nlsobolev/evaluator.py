@@ -417,42 +417,35 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
 # polar scheme
 # ----------------------------------------------------------------------
 
-def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, clamp_box) -> np.ndarray:
-    """u at one polar chunk's shifted points, clamped into ``clamp_box`` if given.
+def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, _unused) -> np.ndarray:
+    """u at one polar chunk's shifted points.
 
     pts is (n, nh, d): pts[:, k, ax] is the shifted axis-ax coordinate of
     every cell centre for h-step k, each row a real shifted point, so pts
     is a (..., d) array of points that ``eval_u`` accepts.  In 1-D the
     result is (n, nh).  In 2-D the chunk's point set is the tensor product
     of the two axes, and the result is (n, n, nh) with
-    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).
+    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  The third argument is
+    unused; it stays because ``bench/probe.py`` wraps this seam with three.
     """
-    if clamp_box is not None:
-        pts = np.clip(pts, *clamp_box)
     if f.domain.dim == 1:
         return _values_at(f, pts[..., 0])
     return _values_on_product(f, pts[..., 0], pts[..., 1])
 
 
-def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
-                 allow_bounded: bool = False) -> EvalResult:
+def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalResult:
     """Whole-space representation: x-grid times geometric h-grid times angles.
 
-    Defined for whole-space domains (the representation is a statement
-    about functions on all of R^d; f should vanish off its support box).
-    For a bounded domain the call is a contract error unless
-    ``allow_bounded`` is set, in which case u is extended by its
-    nearest-boundary value; that extension is a heuristic and its result
-    carries no certificate relating it to the pair scheme on Omega.
+    Defined for whole-space domains only: the representation is a
+    statement about functions on all of R^d (f should vanish off its
+    support box).  Lambda_delta(u, Omega) on a bounded Omega counts only
+    pairs in Omega x Omega, which the pair scheme computes; a bounded
+    domain here is a contract error.
     """
     dom = f.domain
-    clamp_box = None
-    if dom.flavor == "bounded":
-        if not allow_bounded:
-            raise ContractError(
-                "polar scheme expects a whole-space domain; "
-                "pass allow_bounded=True to force nearest-boundary extension")
-        clamp_box = (dom.lo, dom.hi)
+    if dom.flavor != "whole-space":
+        raise ContractError("polar scheme expects a whole-space domain; "
+                            "use the pair scheme on a bounded one")
 
     p, delta = params.p, params.delta
     u0, spac = sample_midpoints(f, params.grid_n)
@@ -487,7 +480,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
         # (n, nh, d): each axis shifted on its own; in 2-D the chunk's points
         # are the tensor product of the two axes, evaluated as such
         pts = x[:, None, :] + (delta * h_grid[a:b])[None, :, None] * sigmas[sig_idx]
-        shifted = _polar_eval_shifted(f, pts, clamp_box).reshape(u_flat.size, -1)
+        shifted = _polar_eval_shifted(f, pts, None).reshape(u_flat.size, -1)
         diff = shifted - u_flat[:, None]
         np.abs(diff, out=diff)
         # an overflow is refused below, not warned; errstate is per thread
@@ -500,7 +493,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
     if not math.isfinite(value):
         raise ParameterError("non-finite polar sum (kernel values overflow?)")
 
-    # certificates: h-tail, h-head, and (whole-space) the x region beyond the window
+    # certificates: h-tail, h-head, and the x region beyond the window
     b_sup = bound_constant(k)
     surf = _SPHERE_SURFACE[dom.dim]
     win_vol = dom.window_volume
@@ -512,12 +505,10 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams,
             tail += a_growth * (lip ** (p + 1.0)) * params.polar_h_min * win_vol * surf
         else:
             tail = math.inf
-    if dom.flavor == "whole-space":
-        pad = dom.padding
-        if pad > 0 and math.isfinite(b_sup):
-            tail += b_sup * dom.volume * surf * (delta / pad) ** p / p
-        else:
-            tail = math.inf
+    if dom.padding > 0 and math.isfinite(b_sup):
+        tail += b_sup * dom.volume * surf * (delta / dom.padding) ** p / p
+    else:
+        tail = math.inf
     return EvalResult(value=value, tail_bound=tail, scheme="polar")
 
 

@@ -128,7 +128,7 @@ def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
 
 
 def _sweep_row(f: TestFunction, k: Kernel, params: FunctionalParams, scheme: str,
-               allow_bounded: bool, energy: float) -> SweepRow:
+               energy: float) -> SweepRow:
     """One row: Lambda_delta by ``scheme`` at ``params``, and its ratio to ``energy``.
 
     The ratio is None unless the energy is finite and positive.
@@ -136,7 +136,7 @@ def _sweep_row(f: TestFunction, k: Kernel, params: FunctionalParams, scheme: str
     if scheme == "pair":
         res = lambda_pair(f, k, params)
     elif scheme == "polar":
-        res = lambda_polar(f, k, params, allow_bounded=allow_bounded)
+        res = lambda_polar(f, k, params)
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
     ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else None
@@ -144,21 +144,21 @@ def _sweep_row(f: TestFunction, k: Kernel, params: FunctionalParams, scheme: str
 
 
 def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 1024,
-                scheme: str = "pair", allow_bounded_polar: bool = False,
-                **settings) -> SweepReport:
+                scheme: str = "pair", **settings) -> SweepReport:
     """One row per delta: value, certificate, reference energy, ratio.
 
     ``settings`` are further ``FunctionalParams`` fields, the same for
     every delta: the polar quadrature (``polar_h_min``, ``polar_h_max``,
-    ``polar_h_steps``, ``polar_angle_steps``).  Ratios are recorded
-    descriptively whatever their size; acceptance thresholds live in the
-    test suite, not here.
+    ``polar_h_steps``, ``polar_angle_steps``).  ``scheme = "polar"``
+    needs a whole-space domain, as ``lambda_polar`` does.  Ratios are
+    recorded descriptively whatever their size; acceptance thresholds
+    live in the test suite, not here.
     """
     ds = _check_deltas(delta_list)
     _require_resolution(f, grid_n, min(ds))
     energy = sobolev_energy(f, p)
     rows = [_sweep_row(f, k, FunctionalParams(p=p, delta=d, grid_n=grid_n, **settings),
-                       scheme, allow_bounded_polar, energy) for d in ds]
+                       scheme, energy) for d in ds]
     meta = {
         "experiment": "delta_sweep",
         "kernel": k.describe(),

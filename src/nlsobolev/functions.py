@@ -65,20 +65,18 @@ class Domain:
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ParameterError("domain must have positive volume")
         if self.flavor not in ("bounded", "whole-space"):
-            raise ParameterError(f"unknown domain flavor {self.flavor!r}")
+            raise ParameterError(f"unknown domain.flavor {self.flavor!r}")
         if self.padding < 0:
             raise ParameterError("padding must be nonnegative")
+        if self.flavor == "bounded" and self.padding != 0:
+            raise ParameterError("a bounded domain has no padding")
 
     @property
     def window_lo(self) -> tuple:
-        if self.flavor == "bounded":
-            return self.lo
         return tuple(a - self.padding for a in self.lo)
 
     @property
     def window_hi(self) -> tuple:
-        if self.flavor == "bounded":
-            return self.hi
         return tuple(b + self.padding for b in self.hi)
 
     @property
@@ -205,10 +203,7 @@ def grid_function(values, origin, spacing: float, flavor: str = "bounded",
     if len(origin) != values.ndim:
         raise ParameterError("origin must match the lattice dimension")
     hi = tuple(o + spacing * (nn - 1) for o, nn in zip(origin, values.shape))
-    if flavor == "bounded":
-        dom = Domain(values.ndim, origin, hi, "bounded", 0.0)
-    else:
-        dom = Domain(values.ndim, origin, hi, "whole-space", padding)
+    dom = Domain(values.ndim, origin, hi, flavor, float(padding))
     return TestFunction("grid", dom, grid_values=values, grid_origin=origin,
                         grid_spacing=float(spacing))
 

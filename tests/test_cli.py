@@ -380,14 +380,16 @@ kappa.restarts = 2
 """
 
 
-# bounded affine u, both schemes: polar by nearest-boundary extension
-CROSS_AFFINE = """
+# a whole-space sine, which both schemes evaluate
+CROSS_SINE = """
 kernel.shape = envelope
 kernel.normalize = true
-function.kind = affine
+function.kind = sine
+domain.flavor = whole-space
+domain.padding = 0.5
 delta = 0.1
 grid_n = 256
-polar.allow_bounded = true
+polar.h_steps = 32
 """
 
 
@@ -399,12 +401,21 @@ polar.allow_bounded = true
                                   "eval-p-nan", "kappa-p-nan", "kappa-overflowing-kernel",
                                   "eval-polar-overflowing-kernel",
                                   "pathology-delta_list-empty",
-                                  "cross-check-delta_list-empty"])
+                                  "cross-check-delta_list-empty",
+                                  "eval-cube-profile-2d-box-at-d1", "eval-sine-1d-box-at-d2",
+                                  "eval-grid-flavor-typo", "eval-polar-bounded",
+                                  "cross-check-bounded"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN epsilon disables the search, a NaN indicator threshold gives
     # value 0, grid_n = 0 divides by zero, an overflowing kernel gives
-    # kappa_hat=inf or a polar value=inf, an empty delta_list passes cross-check
+    # kappa_hat=inf or a polar value=inf, an empty delta_list passes cross-check,
+    # a box of the wrong dimension is integrated with a kernel normalized for
+    # d, a grid's flavor typo runs as whole-space; the polar scheme has no
+    # bounded-domain form
+    lattice = tmp_path / "tent.csv"
+    np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(np.linspace(-1.0, 1.0, 33)))
+               .reshape(1, -1), delimiter=",")
     sub, text, message = {
         "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
                            "delta must be finite and positive"),
@@ -450,8 +461,28 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                           "non-finite polar sum"),
         "pathology-delta_list-empty": ("pathology", "delta_list =\ngrid_n = 512\n",
                                        "'delta_list': empty list"),
-        "cross-check-delta_list-empty": ("cross-check", CROSS_AFFINE + "delta_list =\n",
+        "cross-check-delta_list-empty": ("cross-check", CROSS_SINE + "delta_list =\n",
                                          "'delta_list': empty list"),
+        "eval-cube-profile-2d-box-at-d1": ("eval", "kernel.shape = indicator\n"
+                                                   "function.kind = cube-profile\n"
+                                                   "domain.lo = 0, 0\ndomain.hi = 1, 1\n"
+                                                   "d = 1\ndelta = 0.1\ngrid_n = 256\n",
+                                           "key 'domain.lo' has 2 entries, but d = 1"),
+        "eval-sine-1d-box-at-d2": ("eval", "kernel.shape = indicator\nfunction.kind = sine\n"
+                                           "domain.lo = 0\ndomain.hi = 1\nd = 2\n"
+                                           "delta = 0.25\ngrid_n = 64\n",
+                                   "key 'domain.lo' has 1 entries, but d = 2"),
+        "eval-grid-flavor-typo": ("eval", "kernel.shape = indicator\nfunction.kind = grid\n"
+                                          f"function.grid_file = {lattice}\n"
+                                          "function.grid_spacing = 0.0625\n"
+                                          "function.grid_origin = -1\n"
+                                          "domain.flavor = wholespace\n"
+                                          "delta = 0.2\ngrid_n = 256\n",
+                                  "unknown domain.flavor 'wholespace'"),
+        "eval-polar-bounded": ("eval", AFFINE_EVAL + "grid_n = 256\nscheme = polar\n",
+                               "polar scheme expects a whole-space domain"),
+        "cross-check-bounded": ("cross-check", AFFINE_EVAL + "grid_n = 256\n",
+                                "polar scheme expects a whole-space domain"),
     }[case]
     conf = write_config(tmp_path, text)
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
@@ -459,10 +490,11 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     assert res.stderr.startswith("error:")
     assert message in res.stderr
     assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    assert not list(tmp_path.glob("e.*"))      # no CSV, no meta.json
 
 
 def test_cross_check_tail_is_the_sum_of_both_certificates(tmp_path):
-    conf = write_config(tmp_path, CROSS_AFFINE)
+    conf = write_config(tmp_path, CROSS_SINE)
     out = str(tmp_path / "x")
     res = run_cli("cross-check", "--config", conf, "--out", out)
     assert res.returncode in (0, 1), res.stderr
@@ -470,12 +502,15 @@ def test_cross_check_tail_is_the_sum_of_both_certificates(tmp_path):
         tail = float(list(csv.DictReader(fh))[0]["combined_tail"])
     cfg = cli.parse_config(conf)
     k, f = cli.build_kernel(cfg, 1, 2.0), cli.build_function(cfg, 1)
-    params = FunctionalParams(p=2.0, delta=0.1, grid_n=256)
-    assert tail == (lambda_pair(f, k, params).tail_bound
-                    + lambda_polar(f, k, params, allow_bounded=True).tail_bound)
+    params = FunctionalParams(p=2.0, delta=0.1, grid_n=256, polar_h_steps=32)
+    assert tail == lambda_pair(f, k, params).tail_bound + lambda_polar(f, k, params).tail_bound
 
 
 PATHOLOGY_CONF = "delta = 0.25\ngrid_n = 512\n"
+# a bounded grid function; the test writes {tmp}/tent.csv
+GRID_EVAL = ("kernel.shape = indicator\nfunction.kind = grid\n"
+             "function.grid_file = {tmp}/tent.csv\nfunction.grid_spacing = 0.5\n"
+             "delta = 0.1\ngrid_n = 256\n")
 STEP_CONF = "p = 2\ndelta = 0.1\nn_list = 512, 1024\n"
 KERNEL_CONF = "kernel.shape = indicator\nkernel.normalize = true\np = 2\n"
 
@@ -494,24 +529,84 @@ KERNEL_CONF = "kernel.shape = indicator\nkernel.normalize = true\np = 2\n"
     ("kappa", KAPPA_CONF + "kappa.step_init = nan\n", "kappa.step_init"),
     ("kappa", KAPPA_CONF + "kappa.step_shrink = nan\n", "kappa.step_shrink"),
     ("kappa", KAPPA_CONF + "kappa.patience = 5\n", "kappa.patience"),
-    ("cross-check", CROSS_AFFINE + "diagonal_policy = bogus\n", "diagonal_policy"),
+    ("cross-check", CROSS_SINE + "diagonal_policy = bogus\n", "diagonal_policy"),
     ("eval", AFFINE_EVAL + "grid_n = 256\ndiagonal_policy = exclude-cell\n",
      "diagonal_policy"),
+    ("eval", AFFINE_EVAL + "grid_n = 256\npolar.allow_bounded = true\n",
+     "polar.allow_bounded"),
+    ("sweep", SWEEP_CONF + "polar.allow_bounded = true\n", "polar.allow_bounded"),
+    ("cross-check", CROSS_SINE + "polar.allow_bounded = true\n", "polar.allow_bounded"),
+    # keys of a kernel shape, function kind or domain flavor the config did
+    # not choose
+    ("validate-kernel", "kernel.shape = band\nkernel.threshold = 0.5\n",
+     "kernel.threshold"),
+    ("eval", AFFINE_EVAL + "grid_n = 256\nfunction.frequency = 3\n", "function.frequency"),
+    ("eval", AFFINE_EVAL + "grid_n = 256\nfunction.jumps = 0.5\n", "function.jumps"),
+    ("eval", GRID_EVAL + "domain.lo = 0\n", "domain.lo"),
+    ("sweep", SWEEP_CONF + "domain.padding = 0.5\n", "domain.padding"),
+    ("eval", GRID_EVAL + "domain.padding = 0.5\n", "domain.padding"),
 ], ids=["pathology-p", "pathology-kernel.shape", "pathology-diagonal_policy",
         "step-divergence-kernel.shape", "step-divergence-grid_n", "kappa-function.kind",
         "validate-kernel-delta_list", "sweep-delta", "kappa-step_init-nan",
         "kappa-step_shrink-nan", "kappa-patience", "cross-check-diagonal_policy-bogus",
-        "eval-diagonal_policy"])
+        "eval-diagonal_policy", "eval-allow_bounded", "sweep-allow_bounded",
+        "cross-check-allow_bounded", "band-threshold", "affine-frequency", "affine-jumps",
+        "grid-domain.lo", "bounded-padding", "bounded-grid-padding"])
 def test_unread_key_exits_2(tmp_path, sub, text, key):
     # a key the run does not read would be dropped unseen: pathology always
-    # runs the band kernel at p = 2, kappa always estimates the cube profile
-    conf = write_config(tmp_path, text)
+    # runs the band kernel at p = 2, kappa always estimates the cube profile,
+    # the band kernel has no threshold, a grid's box is its lattice
+    (tmp_path / "tent.csv").write_text("0,1,0\n")
+    conf = write_config(tmp_path, text.replace("{tmp}", str(tmp_path)))
     res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
     assert res.returncode == 2, res.stdout
     assert res.stderr.startswith("error:")
     assert repr(key) in res.stderr
     assert res.stdout == ""
     assert not list(tmp_path.glob("e.*"))      # no CSV, no meta.json
+
+
+class _RecordingConfig(dict):
+    """A config that records every key looked up with `in`, get or []."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name, choice, flavor", [
+    *[("kernel.shape", shape, None) for shape in cli._SHAPE_KEYS],
+    *[("function.kind", kind, flavor) for kind in cli._KIND_KEYS
+      for flavor in ("bounded", "whole-space")]])
+def test_key_tables_match_the_builders(tmp_path, name, choice, flavor):
+    # main refuses the keys of an unchosen shape, kind or flavor by these
+    # tables, so each builder must read exactly the chosen entries
+    # (domain.padding only on whole-space), whether or not the config sets them
+    (tmp_path / "u.csv").write_text("0,1,0\n")
+    cfg = _RecordingConfig({name: choice, "kernel.knots": "0.5, 1", "kernel.values": "0, 1",
+                            "function.grid_file": str(tmp_path / "u.csv"),
+                            "function.grid_spacing": "0.5"})
+    if name == "kernel.shape":
+        cli.build_kernel(cfg, 1, 2.0)
+        expected = {name, "kernel.c", "kernel.normalize", *cli._SHAPE_KEYS[choice]}
+    else:
+        cfg["domain.flavor"] = flavor
+        cli.build_function(cfg, 1)
+        expected = {name, "domain.flavor", *cli._KIND_KEYS[choice],
+                    *cli._FLAVOR_KEYS[flavor]}
+    assert cfg.read == expected
 
 
 def test_sweep_process_loads_no_scipy(tmp_path):

@@ -389,13 +389,11 @@ def test_dilation_check_rejects_fractional_grid():
 # polar scheme
 # ----------------------------------------------------------------------
 
-def test_polar_rejects_bounded_without_flag():
+def test_polar_rejects_bounded():
     f = nl.sine_function(1.0, 1.0, nl.bounded_box([0.0], [1.0]))
     params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=64)
     with pytest.raises(ContractError):
         nl.lambda_polar(f, nl.indicator_kernel(), params)
-    res = nl.lambda_polar(f, nl.indicator_kernel(), params, allow_bounded=True)
-    assert res.value >= 0.0
 
 
 def test_polar_constant_zero():
@@ -427,29 +425,27 @@ def _product_pointwise(f, c0, c1):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_polar_pool_width_bitwise_equal(monkeypatch, dim):
     # every pool width, and in 2-D the point-wise reference for the tensor
-    # grid, give the same bits; the bounded 2-D lattice takes the clamp_box branch
+    # grid, give the same bits
     if dim == 1:
-        fs = [nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)]
+        f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
         params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
     else:
         x = np.linspace(-1.0, 1.0, 17)
         r2 = x[:, None] ** 2 + x[None, :] ** 2
-        fs = [nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
-                               0.125, flavor=flavor, padding=1.0)
-              for flavor in ("whole-space", "bounded")]
+        f = nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
+                             0.125, flavor="whole-space", padding=1.0)
         params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=128,
                                      polar_angle_steps=8)
-    for f in fs:
-        for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
-            k = nl.normalize(k, dim, 2.0)
-            vals = set()
-            with monkeypatch.context() as mp:
-                for width in (1, 2, 4):
-                    mp.setattr(evaluator, "POLAR_THREADS", width)
-                    vals.add(nl.lambda_polar(f, k, params, allow_bounded=True).value)
-                mp.setattr(evaluator, "_values_on_product", _product_pointwise)
-                vals.add(nl.lambda_polar(f, k, params, allow_bounded=True).value)
-            assert len(vals) == 1, (f.domain.flavor, k.shape)
+    for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
+        k = nl.normalize(k, dim, 2.0)
+        vals = set()
+        with monkeypatch.context() as mp:
+            for width in (1, 2, 4):
+                mp.setattr(evaluator, "POLAR_THREADS", width)
+                vals.add(nl.lambda_polar(f, k, params).value)
+            mp.setattr(evaluator, "_values_on_product", _product_pointwise)
+            vals.add(nl.lambda_polar(f, k, params).value)
+        assert len(vals) == 1, k.shape
 
 
 def _bilinear_reference(f, pts):
@@ -500,14 +496,6 @@ def test_tensor_grid_values_bitwise_equal_pointwise(case):
     pts = np.stack(np.broadcast_arrays(c0[:, None], c1[None, :]), axis=-1)
     assert got.tobytes() == _product_pointwise(f, c0, c1).tobytes()
     assert got.tobytes() == _bilinear_reference(f, pts).tobytes()
-    # the clamp_box branch of the polar scheme: a bounded lattice, each axis
-    # clipped to the box before the tensor product is taken
-    bounded = nl.grid_function(values, origin, spacing)
-    box = (bounded.domain.lo, bounded.domain.hi)
-    c1 = np.resize(c1, c0.shape)                   # polar chunks are (n, nh, 2)
-    got = evaluator._polar_eval_shifted(bounded, np.stack([c0, c1], axis=-1), box)
-    clipped = [np.clip(c, lo, hi) for c, lo, hi in zip((c0, c1), *box)]
-    assert got.tobytes() == _product_pointwise(bounded, *clipped).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +524,8 @@ def test_sample_midpoints_2d_bitwise_equal_pointwise(kind, n, lo, size, seed):
 def test_polar_hands_the_bench_an_eval_u_array_2d(monkeypatch):
     # bench/probe.py records the array each polar chunk passes to
     # _polar_eval_shifted and times functions.eval_u on it; that array is
-    # (n, nh, d) in 1-D as in 2-D, so the seam is pinned in both dimensions
+    # (n, nh, d) in 1-D as in 2-D, so the seam is pinned in both dimensions.
+    # Its wrapper takes three arguments, as the one patched in here does
     x = np.linspace(-1.0, 1.0, 9)
     tent = np.maximum(0.0, 1.0 - np.abs(x))
     bump = np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2)
@@ -556,14 +545,10 @@ def test_polar_hands_the_bench_an_eval_u_array_2d(monkeypatch):
             assert isinstance(pts, np.ndarray) and pts.ndim == 3 and pts.shape[-1] == d
             vals = functions.eval_u(f, pts)
             assert vals.shape == (pts.size // d,) and np.all(np.isfinite(vals))
-    # in 1-D the chunk's points are the evaluated points, clamped or not
+    # in 1-D the chunk's points are the evaluated points
     pts = np.linspace(-1.5, 1.5, 16 * 5).reshape(16, 5, 1)
     whole = nl.grid_function(tent, [-1.0], 0.25, flavor="whole-space", padding=0.5)
     assert shifted(whole, pts, None).tobytes() == functions.eval_u(whole, pts).tobytes()
-    bounded = nl.affine_function([1.0], 0.0, nl.bounded_box([-1.0], [1.0]))
-    box = (bounded.domain.lo, bounded.domain.hi)
-    assert shifted(bounded, pts, box).tobytes() == \
-        functions.eval_u(bounded, np.clip(pts, -1.0, 1.0)).tobytes()
 
 
 def test_polar_matches_pair_2d_smooth():

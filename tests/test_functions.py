@@ -64,6 +64,12 @@ def test_grid_eval_2d_bilinear():
     assert nl.eval_u(f, [0.5, 0.5]) == pytest.approx(1.5)
 
 
+def test_grid_function_refuses_an_unknown_flavor():
+    # any flavor but "bounded" used to mean whole-space
+    with pytest.raises(ParameterError, match="wholespace"):
+        nl.grid_function([0.0, 1.0, 0.0], [0.0], 0.5, flavor="wholespace")
+
+
 def test_tent_is_exact_and_vanishes_outside_support():
     tent = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=8)
     xs = np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.5])
@@ -168,6 +174,8 @@ def test_domain_validation():
         nl.bounded_box([0.0], [0.0])
     with pytest.raises(ParameterError):
         nl.Domain(3, (0,) * 3, (1,) * 3)
+    with pytest.raises(ParameterError, match="no padding"):
+        nl.Domain(1, (0.0,), (1.0,), "bounded", 0.5)
 
 
 def test_step_needs_matching_levels():
