@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
-from . import evaluator, experiments, functions, gamma_limit, kernels
+from . import experiments, functions, gamma_limit, kernels
 from .evaluator import FunctionalParams, lambda_pair, lambda_polar
 
 class ConfigError(ValueError):
@@ -141,15 +141,20 @@ def build_kernel(cfg: dict, d: int, p: float) -> kernels.Kernel:
     return k
 
 
+def _flavor(cfg: dict):
+    """(domain.flavor, padding): a whole-space domain reads domain.padding,
+    default 1.0, for every function kind; a bounded one has no padding."""
+    flavor = cfg.get("domain.flavor", "bounded")       # Domain refuses an unknown one
+    return flavor, _get_float(cfg, "domain.padding", 1.0) if flavor == "whole-space" else 0.0
+
+
 def _build_domain(cfg: dict, d: int) -> functions.Domain:
     lo = _get_list(cfg, "domain.lo", [0.0] * d)
     hi = _get_list(cfg, "domain.hi", [1.0] * d)
     for key, bound in (("domain.lo", lo), ("domain.hi", hi)):
         if len(bound) != d:
             raise ConfigError(f"key {key!r} has {len(bound)} entries, but d = {d}")
-    flavor = cfg.get("domain.flavor", "bounded")       # Domain refuses an unknown one
-    padding = _get_float(cfg, "domain.padding", 1.0) if flavor == "whole-space" else 0.0
-    return functions.Domain(d, tuple(lo), tuple(hi), flavor, padding)
+    return functions.Domain(d, tuple(lo), tuple(hi), *_flavor(cfg))
 
 
 def build_function(cfg: dict, d: int) -> functions.TestFunction:
@@ -175,9 +180,7 @@ def build_function(cfg: dict, d: int) -> functions.TestFunction:
             raise ConfigError(f"grid file {path!r} is {values.ndim}-D{raw}, but d = {d}")
         spacing = _get_float(cfg, "function.grid_spacing")
         origin = _get_list(cfg, "function.grid_origin", [0.0] * values.ndim)
-        flavor = cfg.get("domain.flavor", "bounded")
-        padding = _get_float(cfg, "domain.padding", 0.0) if flavor == "whole-space" else 0.0
-        return functions.grid_function(values, origin, spacing, flavor, padding)
+        return functions.grid_function(values, origin, spacing, *_flavor(cfg))
     dom = _build_domain(cfg, d)
     if kind == "cube-profile":
         return functions.cube_profile(d, dom)
@@ -221,11 +224,6 @@ def _settings(cfg: dict) -> dict:
     return out
 
 
-def _threads(scheme: str) -> int:
-    """Thread count for meta.json: the polar pool's width, else 1 (serial pair sums)."""
-    return evaluator.POLAR_THREADS if scheme == "polar" else 1
-
-
 # ----------------------------------------------------------------------
 # subcommand runners: each writes its CSV and returns
 # (meta keys, summary line, exit status); main records the run
@@ -255,8 +253,7 @@ def _run_eval(cfg, args):
     scheme = cfg.get("scheme", "pair")
     row = experiments._sweep_row(f, k, params, scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
-    return ({"threads": _threads(scheme), "kernel": k.describe(),
-             "function": f.describe(), "scheme": scheme},
+    return ({"kernel": k.describe(), "function": f.describe(), "scheme": scheme},
             f"eval value={row.value:.17g} tail_bound={row.tail_bound:.3g}", 0)
 
 
@@ -269,7 +266,7 @@ def _run_sweep(cfg, args):
     experiments.write_sweep_csv(report, args.out + ".csv")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
-    return ({"threads": _threads(scheme), **report.metadata},
+    return (report.metadata,
             f"sweep rows={len(report.rows)} last_delta={last.delta:g} "
             f"last_value={last.value:.12g} "
             f"bound_ratio={bound if bound is None else format(bound, '.6g')}", 0)
@@ -336,8 +333,7 @@ def _run_cross_check(cfg, args):
     experiments.write_csv(args.out + ".csv",
                           ["delta", "pair_value", "polar_value", "combined_tail",
                            "rel_gap"], rows)
-    return ({"threads": _threads("polar"), "kernel": k.describe(),
-             "function": f.describe(), "budget": budget,
+    return ({"kernel": k.describe(), "function": f.describe(), "budget": budget,
              "tail_over_value": tail_over_value},
             f"cross-check {'PASS' if ok else 'FAIL'} worst_rel_gap={worst:.6g}",
             0 if ok else 1)
@@ -419,8 +415,8 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _get_int(cfg, "seed", 0)
         meta, line, status = _RUNNERS[args.subcommand](cfg, args)
-        # runner keys update these in place ("threads" for the polar pool,
-        # "seed" for kappa), so the record's key order is fixed
+        # every run is serial (threads: 1); runner keys update these in place
+        # ("seed" for kappa), so the record's key order is fixed
         experiments.write_meta({"config": cfg, "subcommand": args.subcommand,
                                 "threads": 1, "seed": args.seed, **meta,
                                 "wall_time_s": time.perf_counter() - start},

@@ -18,14 +18,17 @@ h^-(p+1)) and certifies the omitted head and tail analytically.  In 2-D,
 for one (sigma, h), the shifted cell centres are the tensor product of the
 two shifted axes, so u is evaluated on that product
 (``functions._values_on_product``): a grid function does its index work
-per axis, with the same bits as point by point.  Either scheme refuses a
-non-finite sum (ParameterError) rather than report it.
+per axis, with the same bits as point by point.  A grid function that is
+0 off its lattice (``TestFunction.support_box``) is interpolated only
+where the shifted points reach the lattice, and the 0/1 kernels count
+only there, adding the exact count of the cells whose shifted value is 0.
+Either scheme refuses a non-finite sum (ParameterError) rather than
+report it.
 
-Determinism: all reductions run over a fixed chunking of the term index
-space, combined by a fixed-order pairwise tree.  Pair sums run serially;
-polar chunks run on ``POLAR_THREADS`` threads, bit-identical at any width.
-One pair core serves the pair sums, the polar scheme and the kappa moves
-of ``gamma_limit``: one lag-weight table (``_lag_weights``), one rule for
+Determinism: all reductions run serially over a fixed chunking of the
+term index space, combined by a fixed-order pairwise tree.  One pair core
+serves the pair sums, the polar scheme and the kappa moves of
+``gamma_limit``: one lag-weight table (``_lag_weights``), one rule for
 kernel terms on |du| (``_KernelTerms``) and, in 2-D, one blocked lag
 traversal for every kernel.  For the 0/1 kernels (indicator, band) every
 sum is an exact integer count of |du| against cuts precomputed from the
@@ -37,15 +40,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .functions import TestFunction, _values_at, _values_on_product, dilate
+from .functions import (TestFunction, _reach, _values_at, _values_in_rect,
+                        _values_on_product, dilate)
 from .kernels import Kernel, _require_delta, _shape_values, bound_constant, growth_constant
 
 __all__ = [
@@ -63,7 +65,8 @@ _LAG_CHUNK = 128          # lags per reduction chunk
 _BLOCK = 1 << 15          # |du| elements per 2-D counting block
 _CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving up
 _DBL_MAX = sys.float_info.max
-POLAR_THREADS = os.cpu_count() or 1   # polar pool width; the pair sums are serial
+_H_CHUNK = 64             # polar h-steps per reduction chunk
+_H_GROUP = 16             # polar h-steps evaluated at once within a chunk
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}   # |S^(d-1)| with counting measure at d=1
 
 
@@ -152,13 +155,6 @@ def _tree_sum(parts: list[float]) -> float:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def _run_chunks(worker, chunks, threads: int) -> list[float]:
-    if threads <= 1 or len(chunks) <= 1:
-        return [worker(ch) for ch in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, chunks))
 
 
 def _chunked_sum(terms: np.ndarray, chunk: int) -> float:
@@ -417,20 +413,25 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
 # polar scheme
 # ----------------------------------------------------------------------
 
-def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, _unused) -> np.ndarray:
-    """u at one polar chunk's shifted points.
+def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
+    """u at one polar group's shifted points: _H_GROUP h-steps or fewer.
 
     pts is (n, nh, d): pts[:, k, ax] is the shifted axis-ax coordinate of
     every cell centre for h-step k, each row a real shifted point, so pts
     is a (..., d) array of points that ``eval_u`` accepts.  In 1-D the
-    result is (n, nh).  In 2-D the chunk's point set is the tensor product
+    result is (n, nh).  In 2-D the group's point set is the tensor product
     of the two axes, and the result is (n, n, nh) with
-    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  The third argument is
-    unused; it stays because ``bench/probe.py`` wraps this seam with three.
+    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  rect is None, or the
+    rows (and columns) whose shifted coordinate reaches ``f.support_box``
+    (``functions._reach``): only those are interpolated, and the rest are
+    zeros (``functions._values_in_rect``).
     """
+    coords = [pts[..., ax] for ax in range(pts.shape[-1])]
+    if rect is not None:
+        return _values_in_rect(f, rect, coords)
     if f.domain.dim == 1:
-        return _values_at(f, pts[..., 0])
-    return _values_on_product(f, pts[..., 0], pts[..., 1])
+        return _values_at(f, coords[0])
+    return _values_on_product(f, *coords)
 
 
 def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalResult:
@@ -467,28 +468,55 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         sigmas = [np.array([math.cos(t), math.sin(t)]) for t in theta]
         ang_w = 2.0 * math.pi / n_th
 
-    u_flat = u0.ravel()
     terms = _KernelTerms(k, delta)
-    h_chunk = 64
-    chunks = []
-    for sig_idx in range(len(sigmas)):
-        for a in range(0, h_grid.size, h_chunk):
-            chunks.append((sig_idx, a, min(a + h_chunk, h_grid.size)))
+    box = f.support_box
+    # a 0/1 kernel counts only the cells of a group's rectangle; off it the
+    # shifted value is 0, so |du| = |u0| and those cells add
+    # count(|u0|) - count(|u0[rect]|).  The other kernels sum every cell, in
+    # the same order as when u was evaluated everywhere.
+    counted = terms.cuts is not None and box is not None
+    abs_u0 = np.abs(u0)
+    count_all = terms.sum(abs_u0) if counted else 0
+    buf = np.empty(u0.size * _H_GROUP)              # |du| of one group
+    mask = np.empty(buf.size, dtype=bool)
 
-    def worker(spec):
-        sig_idx, a, b = spec
-        # (n, nh, d): each axis shifted on its own; in 2-D the chunk's points
-        # are the tensor product of the two axes, evaluated as such
-        pts = x[:, None, :] + (delta * h_grid[a:b])[None, :, None] * sigmas[sig_idx]
-        shifted = _polar_eval_shifted(f, pts, None).reshape(u_flat.size, -1)
-        diff = shifted - u_flat[:, None]
+    def group_sums(pts):
+        """Kernel sums per h-step of one group; pts holds its (n, nh, d) points."""
+        nh = pts.shape[1]
+        coords = [pts[..., ax] for ax in range(dom.dim)]
+        rect = None if box is None else _reach(f, box, coords)
+        shifted = _polar_eval_shifted(f, pts, rect)
+        cells = rect if counted else ()             # () selects every cell
+        u = u0[cells][..., None]
+        diff = np.subtract(shifted[cells], u,
+                           out=buf[:u.size * nh].reshape(u.shape[:-1] + (nh,)))
         np.abs(diff, out=diff)
-        # an overflow is refused below, not warned; errstate is per thread
-        with np.errstate(over="ignore"):
-            per_h = terms.sum(diff, axis=0)
-            return float(np.dot(per_h, h_weights[a:b]))
+        per_h = terms.sum(diff.reshape(-1, nh), axis=0,
+                          mask=mask[:diff.size].reshape(-1, nh))
+        return per_h + (count_all - terms.sum(abs_u0[cells])) if counted else per_h
 
-    raw = _tree_sum(_run_chunks(worker, chunks, POLAR_THREADS))
+    parts = []
+    with np.errstate(over="ignore"):     # an overflow is refused below, not warned
+        for sigma in sigmas:
+            for a in range(0, h_grid.size, _H_CHUNK):
+                b = min(a + _H_CHUNK, h_grid.size)
+                # the chunk's points, one group after another: one allocation
+                # per chunk, where one per group was handed back to the OS
+                # and faulted in again every group
+                block = np.empty(x.size * (b - a))
+                sums = []
+                for g in range(a, b, _H_GROUP):
+                    e = min(g + _H_GROUP, b)
+                    # (n, nh, d): each axis shifted on its own; in 2-D the
+                    # group's points are the tensor product of the two axes
+                    pts = block[x.size * (g - a):x.size * (e - a)].reshape(
+                        x.shape[0], e - g, -1)
+                    np.add(x[:, None, :], (delta * h_grid[g:e])[None, :, None] * sigma,
+                           out=pts)
+                    sums.append(group_sums(pts))
+                per_h = np.concatenate(sums)
+                parts.append(float(np.dot(per_h, h_weights[a:b])))
+    raw = _tree_sum(parts)
     value = k.scale_c * cell_vol * ang_w * ds * raw
     if not math.isfinite(value):
         raise ParameterError("non-finite polar sum (kernel values overflow?)")

@@ -136,6 +136,26 @@ class TestFunction:
             d["grid_spacing"] = self.grid_spacing
         return d
 
+    @property
+    def support_box(self):
+        """((lo, hi) per axis) of a box off which u is exactly 0, else None.
+
+        A grid function whose boundary nodes are all 0 is 0 beyond its
+        lattice, since the clamped extension repeats the edge values.  The
+        box is the lattice, grid_origin to grid_origin + spacing*(shape - 1),
+        not domain.lo/hi (which for tent_function and windowed_sine is the
+        support proper).  None for every other kind and for a lattice with
+        a nonzero boundary node.
+        """
+        if self.kind != "grid":
+            return None
+        v = self.grid_values
+        edges = [v[[0, -1]]] if v.ndim == 1 else [v[[0, -1], :], v[:, [0, -1]]]
+        if any(np.any(e != 0.0) for e in edges):
+            return None
+        return tuple((o, o + self.grid_spacing * (m - 1))
+                     for o, m in zip(self.grid_origin, v.shape))
+
 
 # ----------------------------------------------------------------------
 # constructors
@@ -292,8 +312,18 @@ def _interp_grid(f: TestFunction, coords) -> np.ndarray:
     m = vals.shape[1]
     flat = vals.ravel()
     k = i * m + j          # corner (i, j); flat[m:], flat[1:], flat[m + 1:] give the others
-    return (flat[k] * (1 - s) * (1 - t) + flat[m:][k] * s * (1 - t)
-            + flat[1:][k] * (1 - s) * t + flat[m + 1:][k] * s * t)
+    # corner * weight_s * weight_t per corner, summed corner by corner: the
+    # order of (v00*(1-s)*(1-t) + v10*s*(1-t)) + v01*(1-s)*t + v11*s*t,
+    # computed in place
+    s1, t1 = 1 - s, 1 - t
+    out = flat[k] * s1
+    out *= t1
+    for corner, ws, wt in ((flat[m:], s, t1), (flat[1:], s1, t), (flat[m + 1:], s, t)):
+        term = corner[k]
+        term *= ws
+        term *= wt
+        out += term
+    return out
 
 
 def _values_at(f: TestFunction, pts: np.ndarray) -> np.ndarray:
@@ -327,6 +357,52 @@ def _values_on_product(f: TestFunction, c0: np.ndarray, c1: np.ndarray) -> np.nd
     if f.kind == "grid":
         return _interp_grid(f, (x0, x1))
     return _values_at(f, np.stack(np.broadcast_arrays(x0, x1), axis=-1))
+
+
+def _reach(f: TestFunction, box, coords) -> tuple:
+    """Per axis, the slice of rows of coords[ax] that reach the open box.
+
+    coords holds one (n_ax, ...) coordinate array per axis, and box is
+    ``f.support_box``.  A coordinate reaches the box when the interpolant
+    reads a node off the lattice boundary there, tested in the
+    interpolant's own arithmetic: np.interp returns the end values at and
+    beyond the end nodes, and in 2-D ``_interp_grid`` clips its lattice
+    coordinate to [0, shape - 1].  The slice runs from the first to the
+    last row with a coordinate that reaches; it is empty when none does.
+    """
+    rect = []
+    for ax, (c, (lo, hi)) in enumerate(zip(coords, box)):
+        if f.grid_values.ndim == 1:
+            inside = (c > lo) & (c < hi)
+        else:
+            t = (c - lo) / f.grid_spacing
+            inside = (t > 0.0) & (t < f.grid_values.shape[ax] - 1.0)
+        flat = inside.ravel()
+        first = flat.argmax()
+        if not flat[first]:
+            rect.append(slice(0, 0))
+            continue
+        per_row = flat.size // c.shape[0]
+        rect.append(slice(first // per_row, c.shape[0] - flat[::-1].argmax() // per_row))
+    return tuple(rect)
+
+
+def _values_in_rect(f: TestFunction, rect, coords) -> np.ndarray:
+    """u of a grid function on the tensor product of per-axis coordinates.
+
+    coords holds (n0, *rest) in 1-D and (n0, *rest), (n1, *rest) in 2-D;
+    the result is (n0, *rest) or (n0, n1, *rest), as ``_values_at`` and
+    ``_values_on_product`` give it.  Only the rectangle ``rect`` of rows
+    (and columns) is interpolated, and the rest is 0: with rect from
+    ``_reach``, u is 0 there, which the interpolant gives as +-0.
+    """
+    sub = [c[r] for c, r in zip(coords, rect)]
+    # interpolate first, so that the output can reuse the memory its
+    # temporaries have just freed
+    vals = _values_at(f, sub[0]) if len(sub) == 1 else _values_on_product(f, *sub)
+    out = np.zeros(tuple(c.shape[0] for c in coords) + coords[0].shape[1:])
+    out[rect] = vals
+    return out
 
 
 def eval_u(f: TestFunction, x):

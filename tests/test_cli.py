@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,7 @@ polar.h_steps = 1200
     meta = json.loads((tmp_path / "x.meta.json").read_text())
     ref = max(float(rows[0]["pair_value"]), float(rows[0]["polar_value"]))
     assert meta["tail_over_value"] == [float(rows[0]["combined_tail"]) / ref]
+    assert meta["threads"] == 1          # the polar scheme runs serially too
 
 
 def test_grid_function_from_csv_lattice(tmp_path):
@@ -245,6 +247,42 @@ grid_n = 1024
 """)
     res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "g"))
     assert res.returncode == 0, res.stderr
+
+
+TENT_CONF = """
+kernel.shape = indicator
+kernel.normalize = true
+function.kind = grid
+function.grid_file = {lattice}
+function.grid_spacing = 0.0625
+function.grid_origin = -1
+domain.flavor = whole-space
+p = 2.0
+d = 1
+delta = 0.2
+grid_n = 256
+"""
+
+
+def test_whole_space_padding_defaults_to_one_for_every_kind(tmp_path):
+    # a whole-space tent grid (33 nodes on [-1, 1], half-width 0.5) without
+    # domain.padding used to get padding 0 and tail_bound=inf; every kind now
+    # reads the key through one rule, default 1.0
+    lattice = tmp_path / "tent.csv"
+    x = np.linspace(-1.0, 1.0, 33)
+    np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(x) / 0.5).reshape(1, -1), delimiter=",")
+    lines = []
+    for extra in ("", "domain.padding = 1\n"):
+        conf = write_config(tmp_path, TENT_CONF.format(lattice=lattice) + extra)
+        res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "e"))
+        assert res.returncode == 0, res.stderr
+        lines.append(res.stdout)
+    assert lines[0] == lines[1]
+    assert math.isfinite(float(lines[0].split("tail_bound=")[1]))
+    for kind in ("grid", "affine", "sine", "step", "cube-profile"):
+        cfg = cli.parse_config(write_config(tmp_path, TENT_CONF.format(lattice=lattice)))
+        cfg["function.kind"] = kind
+        assert cli.build_function(cfg, 1).domain.padding == 1.0, kind
 
 
 def test_import_path_has_no_scipy():

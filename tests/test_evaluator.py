@@ -422,10 +422,18 @@ def _product_pointwise(f, c0, c1):
     return nl.eval_u(f, pts).reshape(pts.shape[:-1])
 
 
+def _shifted_pointwise(f, pts):
+    """u at every point of a polar group, through eval_u on materialized points."""
+    if pts.shape[-1] == 1:
+        return nl.eval_u(f, pts[..., 0]).reshape(pts.shape[:2])
+    return _product_pointwise(f, pts[..., 0], pts[..., 1])
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_polar_pool_width_bitwise_equal(monkeypatch, dim):
-    # every pool width, and in 2-D the point-wise reference for the tensor
-    # grid, give the same bits
+def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
+    # u evaluated point by point at every shifted point, on and off the
+    # support box, equals what the seam returns (zeros off the box) and
+    # gives lambda_polar the same bits
     if dim == 1:
         f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
         params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
@@ -436,16 +444,117 @@ def test_polar_pool_width_bitwise_equal(monkeypatch, dim):
                              0.125, flavor="whole-space", padding=1.0)
         params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=128,
                                      polar_angle_steps=8)
+    assert f.support_box is not None
+    shifted = evaluator._polar_eval_shifted
+
+    def pointwise(f_, pts, rect):
+        want = _shifted_pointwise(f_, pts)
+        assert np.array_equal(shifted(f_, pts, rect), want)
+        return want
+
     for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
         k = nl.normalize(k, dim, 2.0)
-        vals = set()
+        got = nl.lambda_polar(f, k, params).value
         with monkeypatch.context() as mp:
-            for width in (1, 2, 4):
-                mp.setattr(evaluator, "POLAR_THREADS", width)
-                vals.add(nl.lambda_polar(f, k, params).value)
-            mp.setattr(evaluator, "_values_on_product", _product_pointwise)
-            vals.add(nl.lambda_polar(f, k, params).value)
-        assert len(vals) == 1, k.shape
+            mp.setattr(evaluator, "_polar_eval_shifted", pointwise)
+            assert nl.lambda_polar(f, k, params).value == got, k.shape
+
+
+def _polar_dense(f, k, params):
+    """lambda_polar's value with u evaluated at every shifted point.
+
+    Each 64-step chunk of h takes u at all its points through eval_u, then
+    |du|, the kernel terms per h and one dot with the h weights; the chunks
+    combine by the pairwise tree.
+    """
+    dom, delta = f.domain, params.delta
+    u0, spac = sample_midpoints(f, params.grid_n)
+    ds = math.log(params.polar_h_max / params.polar_h_min) / params.polar_h_steps
+    h = np.exp(math.log(params.polar_h_min) + (np.arange(params.polar_h_steps) + 0.5) * ds)
+    x = np.stack(evaluator._cell_axes(dom, params.grid_n)[0], axis=-1)
+    if dom.dim == 1:
+        sigmas, ang_w = [np.array([-1.0]), np.array([1.0])], 1.0
+    else:
+        n_th = params.polar_angle_steps
+        theta = (np.arange(n_th) + 0.5) * (2.0 * math.pi / n_th)
+        sigmas = [np.array([math.cos(t), math.sin(t)]) for t in theta]
+        ang_w = 2.0 * math.pi / n_th
+    terms = evaluator._KernelTerms(k, delta)
+    parts = []
+    for sigma in sigmas:
+        for a in range(0, h.size, 64):
+            b = min(a + 64, h.size)
+            pts = x[:, None, :] + (delta * h[a:b])[None, :, None] * sigma
+            diff = np.abs(_shifted_pointwise(f, pts).reshape(-1, b - a)
+                          - u0.ravel()[:, None])
+            parts.append(float(np.dot(terms.sum(diff, axis=0), h[a:b] ** (-params.p))))
+    return k.scale_c * float(np.prod(spac)) * ang_w * ds * evaluator._tree_sum(parts)
+
+
+_ALL_SHAPES = st.sampled_from([
+    nl.indicator_kernel(threshold=0.7), nl.band_kernel(0.5, 1.5),
+    nl.envelope_kernel(0.8, 1.1, 2.0), nl.power_cutoff_kernel(3.0, 1.0),
+    nl.tabulated_kernel([0.0, 0.5, 1.0, 2.0], [0.0, 0.1, 0.7, 1.0])])
+
+
+@st.composite
+def _zero_boundary_lattice(draw, dim=None):
+    """A whole-space grid function; its boundary nodes are 0 unless `control`."""
+    dim = dim or draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(3, 9)) for _ in range(dim))
+    spacing = draw(st.sampled_from([0.125, 0.1, 0.25, 1.0 / 3.0]))
+    origin = [draw(st.floats(-2.0, 2.0)) for _ in range(dim)]
+    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(1, -1),) * dim] = True
+    values = np.where(inner, values, 0.0)
+    control = draw(st.booleans())
+    if control:      # one nonzero boundary node: no support box
+        edge = np.flatnonzero(~inner.ravel())
+        values.flat[edge[draw(st.integers(0, edge.size - 1))]] = draw(
+            st.sampled_from([-1.0, 0.5, 1.5]))
+    padding = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    f = nl.grid_function(values, origin, spacing, flavor="whole-space", padding=padding)
+    return f, control
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_zero_boundary_lattice(), k=_ALL_SHAPES, delta=st.floats(0.05, 1.0),
+       h_min=st.sampled_from([1e-3, 1e-2, 0.1]), h_max=st.sampled_from([2.0, 20.0, 200.0]),
+       h_steps=st.integers(8, 90), angles=st.integers(4, 6), n=st.integers(16, 24))
+def test_polar_support_box_bitwise_equal_dense(case, k, delta, h_min, h_max, h_steps,
+                                               angles, n):
+    # groups of 16 h-steps straddle the box edges at moderate delta*h and miss
+    # the box entirely at large delta*h; chunks and groups end short of 64 and 16
+    f, control = case
+    lo = f.grid_origin
+    assert f.support_box == (None if control else tuple(
+        (o, o + f.grid_spacing * (m - 1)) for o, m in zip(lo, f.grid_values.shape)))
+    params = nl.FunctionalParams(p=2.0, delta=delta, grid_n=n, polar_h_min=h_min,
+                                 polar_h_max=h_max, polar_h_steps=h_steps,
+                                 polar_angle_steps=angles)
+    got = nl.lambda_polar(f, k, params).value
+    with np.errstate(over="ignore"):
+        assert got == _polar_dense(f, k, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]), rest=st.integers(1, 4))
+def test_values_in_rect_equal_interpolant_on_full_product(data, dim, rest):
+    # coordinates on the box edges, a hair and far beyond every side, and inside
+    f, _ = data.draw(_zero_boundary_lattice(dim).filter(lambda c: not c[1]))
+    box = f.support_box
+    coords = [_axis_coords(data.draw, lo, hi, (data.draw(st.integers(1, 6)), rest))
+              for lo, hi in box]
+    rect = functions._reach(f, box, coords)
+    got = functions._values_in_rect(f, rect, coords)
+    if dim == 1:
+        want = functions._interp_grid(f, coords)
+    else:
+        want = functions._interp_grid(f, (coords[0][:, None], coords[1][None, :]))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)         # +0 and -0 compare equal
 
 
 def _bilinear_reference(f, pts):
@@ -522,7 +631,7 @@ def test_sample_midpoints_2d_bitwise_equal_pointwise(kind, n, lo, size, seed):
 
 
 def test_polar_hands_the_bench_an_eval_u_array_2d(monkeypatch):
-    # bench/probe.py records the array each polar chunk passes to
+    # bench/probe.py records the array each polar group passes to
     # _polar_eval_shifted and times functions.eval_u on it; that array is
     # (n, nh, d) in 1-D as in 2-D, so the seam is pinned in both dimensions.
     # Its wrapper takes three arguments, as the one patched in here does
