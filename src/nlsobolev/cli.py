@@ -45,7 +45,7 @@ from . import __version__
 from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
 from . import experiments, functions, gamma_limit, kernels
-from .evaluator import FunctionalParams, lambda_pair, lambda_polar
+from .evaluator import FunctionalParams, _lambda_pair_deltas, lambda_polar
 
 class ConfigError(ValueError):
     pass
@@ -251,7 +251,7 @@ def _run_eval(cfg, args):
     f = build_function(cfg, d)
     params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"), **_settings(cfg))
     scheme = cfg.get("scheme", "pair")
-    row = experiments._sweep_row(f, k, params, scheme, functions.sobolev_energy(f, p))
+    [row] = experiments._sweep_rows(f, k, [params], scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
     return ({"kernel": k.describe(), "function": f.describe(), "scheme": scheme},
             f"eval value={row.value:.17g} tail_bound={row.tail_bound:.3g}", 0)
@@ -318,14 +318,13 @@ def _run_cross_check(cfg, args):
     tail_over_value = []     # how much of the values the certificates cover
     worst = 0.0
     ok = True
-    for delta in deltas:
-        params = FunctionalParams(p=p, delta=delta, **settings)
-        pr = lambda_pair(f, k, params)
-        po = lambda_polar(f, k, params)
+    params = [FunctionalParams(p=p, delta=delta, **settings) for delta in deltas]
+    for q, pr in zip(params, _lambda_pair_deltas(f, k, params)):
+        po = lambda_polar(f, k, q)
         ref = max(pr.value, po.value, np.finfo(float).eps)
         gap = abs(pr.value - po.value)
         tail = pr.tail_bound + po.tail_bound
-        rows.append([delta, pr.value, po.value, tail, gap / ref])
+        rows.append([q.delta, pr.value, po.value, tail, gap / ref])
         tail_over_value.append(tail / ref)
         worst = max(worst, gap / ref)
         # an infinite certificate would allow any gap, so it cannot pass

@@ -34,6 +34,12 @@ traversal for every kernel.  For the 0/1 kernels (indicator, band) every
 sum is an exact integer count of |du| against cuts precomputed from the
 kernel's edges and delta (no division), equal bit for bit to the division
 form; other kernels sum shape(|du|/delta) in the traversal's fixed order.
+
+One traversal of the cell pairs serves every delta on the same grid: each
+lag's (1-D) or block's (2-D) |du| is computed once, and each delta's
+kernel terms count it into that delta's own per-lag sums, which keep
+their weights and reduction order.  So a delta sweep gets, for every
+delta, the bits of a call with that delta alone.
 """
 
 from __future__ import annotations
@@ -244,6 +250,18 @@ class _KernelTerms:
             return np.sum(_shape_values(self.k, a / self.delta), axis=axis)
         return np.count_nonzero(self._inside(a, mask), axis=axis)
 
+    def difference(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, masks) -> np.ndarray:
+        """shape(a / delta) - shape(b / delta) per element, written to ``out``.
+
+        ``masks`` are two bool scratch buffers shaped like a.  A 0/1 kernel
+        subtracts its masks as floats: 1 - 0, 0 - 1 or 0, the bits of the
+        difference of the values.
+        """
+        if self.cuts is None:
+            return np.subtract(self.values(a), self.values(b), out=out)
+        return np.subtract(self._inside(a, masks[0]), self._inside(b, masks[1]), out=out,
+                           dtype=float)
+
 
 # ----------------------------------------------------------------------
 # pair scheme
@@ -266,36 +284,42 @@ def _lag_weights(shape, spacings, p: float) -> np.ndarray:
                       if mx or my else 0.0 for my in range(n1)] for mx in range(n0)])
 
 
-def _pair_raw_1d(u: np.ndarray, h: float, terms: _KernelTerms, p: float) -> float:
-    """Sum over ordered cell pairs of shape(|du|/delta) * |dx|^-(p+1) * h^2.
+def _pair_raw_1d(u: np.ndarray, h: float, terms: list[_KernelTerms], p: float) -> list[float]:
+    """Per kernel terms (one per delta): the sum over ordered cell pairs of
+    shape(|du|/delta) * |dx|^-(p+1) * h^2.
 
     Pairs are grouped by lag; the symmetric factor 2 makes the result
-    equal to the full double sum.  The kernel scale and delta^p are
+    equal to the full double sum.  Each lag's |du| is computed once and
+    counted by every delta's terms.  The kernel scale and delta^p are
     applied by the caller.
     """
     n = u.size
-    sums = np.empty(n - 1)
+    sums = np.empty((len(terms), n - 1))      # sums[j, m - 1]: lag m under terms[j]
     buf = np.empty(n - 1)
     mask = np.empty(n - 1, dtype=bool)
     for m in range(1, n):
         d = np.subtract(u[m:], u[: n - m], out=buf[: n - m])
         np.abs(d, out=d)
-        sums[m - 1] = terms.sum(d, mask=mask[: n - m])
-    return _chunked_sum(_lag_weights((n,), (h,), p)[1:] * sums, _LAG_CHUNK)
+        for t, s in zip(terms, sums):
+            s[m - 1] = t.sum(d, mask=mask[: n - m])
+    w = _lag_weights((n,), (h,), p)[1:]
+    return [_chunked_sum(w * s, _LAG_CHUNK) for s in sums]
 
 
-def _lag_sums_2d(u: np.ndarray, terms: _KernelTerms) -> np.ndarray:
-    """s[my, mx + n0 - 1]: sum of shape(|du|/delta) over the pairs at lag (mx, my).
+def _lag_sums_2d(u: np.ndarray, terms: list[_KernelTerms]) -> np.ndarray:
+    """s[j, my, mx + n0 - 1]: sum of shape(|du|/delta) under terms[j] over the
+    pairs at lag (mx, my).
 
     A pair at lag (mx, my) is u[i', j + my] - u[i, j] with mx = i' - i.
     One pass per my takes a block of row pairs (i', i) at once, at most
-    _BLOCK elements, sums along the row, and np.bincount files the row
-    sums under mx.  At my = 0 only mx > 0 is used, so a block of rows
-    i' < r0 + rows takes only the columns i < r0 + rows; the lags it still
-    fills keep their contributions in the same order, hence the same sums.
+    _BLOCK elements, and computes its |du| once; for each terms[j] it sums
+    along the row, and np.bincount files the row sums under mx.  At my = 0
+    only mx > 0 is used, so a block of rows i' < r0 + rows takes only the
+    columns i < r0 + rows; the lags it still fills keep their contributions
+    in the same order, hence the same sums.
     """
     n0, n1 = u.shape
-    s = np.zeros((n1, 2 * n0 - 1))
+    s = np.zeros((len(terms), n1, 2 * n0 - 1))
     lag_index = np.arange(n0)[:, None] - np.arange(n0)[None, :] + (n0 - 1)
     buf = np.empty(max(_BLOCK, n1))
     mask = np.empty(buf.size, dtype=bool)
@@ -312,40 +336,52 @@ def _lag_sums_2d(u: np.ndarray, terms: _KernelTerms) -> np.ndarray:
                 size = shape[0] * shape[1] * ln
                 d = np.subtract(a, b, out=buf[:size].reshape(shape))
                 np.abs(d, out=d)
-                row = terms.sum(d, axis=2, mask=mask[:size].reshape(shape))
-                s[my] += np.bincount(lag_index[r0:r0 + rows, c0:c1].ravel(),
-                                     weights=row.ravel(), minlength=2 * n0 - 1)
+                lags = lag_index[r0:r0 + rows, c0:c1].ravel()
+                for t, sj in zip(terms, s):
+                    row = t.sum(d, axis=2, mask=mask[:size].reshape(shape))
+                    sj[my] += np.bincount(lags, weights=row.ravel(), minlength=2 * n0 - 1)
     return s
 
 
-def _pair_raw_2d(u: np.ndarray, spac, terms: _KernelTerms, p: float) -> float:
-    """Lag sums times weights, in the order mx > 0 at my = 0, then my >= 1 by mx."""
+def _pair_raw_2d(u: np.ndarray, spac, terms: list[_KernelTerms], p: float) -> list[float]:
+    """Per kernel terms: lag sums times weights, in the order mx > 0 at my = 0,
+    then my >= 1 by mx."""
     n0 = u.shape[0]
     w = _lag_weights(u.shape, spac, p)[np.abs(np.arange(1 - n0, n0))].T
-    t = w * _lag_sums_2d(u, terms)              # t[my, mx + n0 - 1]
-    return _chunked_sum(np.concatenate([t[0, n0:], t[1:].ravel()]), 4 * _LAG_CHUNK)
+    return [_chunked_sum(np.concatenate([t[0, n0:], t[1:].ravel()]), 4 * _LAG_CHUNK)
+            for t in w * _lag_sums_2d(u, terms)]     # t[my, mx + n0 - 1]
 
 
-def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta: float,
-                        threads: int = 1) -> float:
+def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta,
+                        threads: int = 1):
     """Midpoint pair quadrature on pre-sampled values (same-cell terms skipped).
 
-    The sum is serial; ``threads`` is validated for callers that pass it.
-    Raises ParameterError when the sum is not finite.
+    ``delta`` is one smoothing scale, which returns one value, or a
+    sequence of them, which returns one value per delta, in order.  One
+    traversal of the cell pairs serves the whole sequence, and each value
+    has the bits of a call with its delta alone.  The sum is serial;
+    ``threads`` is validated for callers that pass it.  Every delta is
+    checked before the traversal starts, and a ParameterError is raised
+    when any sum is not finite.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    _require_delta(delta)
-    terms = _KernelTerms(k, delta)
+    single = np.ndim(delta) == 0
+    deltas = [delta] if single else list(delta)
+    if not deltas:
+        raise ParameterError("empty delta list")
+    for d in deltas:
+        _require_delta(d)
+    terms = [_KernelTerms(k, d) for d in deltas]
     with np.errstate(over="ignore"):     # an overflow is refused below, not warned
         if u.ndim == 1:
             raw = _pair_raw_1d(u, spacings[0], terms, p)
         else:
             raw = _pair_raw_2d(u, spacings, terms, p)
-    value = k.scale_c * delta ** p * raw
-    if not math.isfinite(value):
+    values = [k.scale_c * d ** p * r for d, r in zip(deltas, raw)]
+    if not all(math.isfinite(v) for v in values):
         raise ParameterError("non-finite pair sum (kernel values overflow?)")
-    return value
+    return values[0] if single else values
 
 
 def _sampled_lipschitz(u: np.ndarray, spacings) -> float:
@@ -401,12 +437,26 @@ def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRes
     function under a kernel with a nonzero growth constant, where the
     continuum integral itself diverges).
     """
-    u, spac = sample_midpoints(f, params.grid_n)
-    value = pair_sum_on_samples(u, spac, k, params.p, params.delta)
-    tail = _window_bound(f, k, params.p, params.delta)
-    tail += _diagonal_bound(k, params.p, params.delta, _sampled_lipschitz(u, spac),
-                            f.domain.window_volume, spac)
-    return EvalResult(value=value, tail_bound=tail, scheme="pair")
+    return _lambda_pair_deltas(f, k, [params])[0]
+
+
+def _lambda_pair_deltas(f: TestFunction, k: Kernel,
+                        params: list[FunctionalParams]) -> list[EvalResult]:
+    """lambda_pair at each of ``params``, which differ only in delta.
+
+    u is sampled once, one pair traversal serves every delta, and the
+    Lipschitz estimate is taken once; each delta adds its own window and
+    diagonal certificates.  The results have the bits of one call each.
+    """
+    p = params[0].p
+    u, spac = sample_midpoints(f, params[0].grid_n)
+    values = pair_sum_on_samples(u, spac, k, p, [q.delta for q in params])
+    lip = _sampled_lipschitz(u, spac)
+    return [EvalResult(value=value,
+                       tail_bound=_window_bound(f, k, p, q.delta)
+                       + _diagonal_bound(k, p, q.delta, lip, f.domain.window_volume, spac),
+                       scheme="pair")
+            for q, value in zip(params, values)]
 
 
 # ----------------------------------------------------------------------

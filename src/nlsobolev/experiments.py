@@ -30,7 +30,8 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .evaluator import FunctionalParams, _require_grid_n, lambda_pair, lambda_polar
+from .evaluator import (FunctionalParams, _lambda_pair_deltas, _require_grid_n,
+                        lambda_pair, lambda_polar)
 from .functions import TestFunction, sobolev_energy, unit_step
 from .kernels import Kernel, _require_delta, band_kernel, indicator_kernel, normalize
 
@@ -127,20 +128,24 @@ def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
             f"need grid_n >= {needed}")
 
 
-def _sweep_row(f: TestFunction, k: Kernel, params: FunctionalParams, scheme: str,
-               energy: float) -> SweepRow:
-    """One row: Lambda_delta by ``scheme`` at ``params``, and its ratio to ``energy``.
+def _sweep_rows(f: TestFunction, k: Kernel, params: list[FunctionalParams], scheme: str,
+                energy: float) -> list[SweepRow]:
+    """One row per ``params``: Lambda_delta by ``scheme``, and its ratio to ``energy``.
 
-    The ratio is None unless the energy is finite and positive.
+    ``params`` differ only in delta.  The pair scheme serves every delta
+    from one traversal; the polar scheme runs once per delta.  The ratio
+    is None unless the energy is finite and positive.
     """
     if scheme == "pair":
-        res = lambda_pair(f, k, params)
+        results = _lambda_pair_deltas(f, k, params)
     elif scheme == "polar":
-        res = lambda_polar(f, k, params)
+        results = [lambda_polar(f, k, q) for q in params]
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    ratio = res.value / energy if (math.isfinite(energy) and energy > 0) else None
-    return SweepRow(params.delta, res.value, res.tail_bound, energy, ratio)
+    has_ratio = math.isfinite(energy) and energy > 0
+    return [SweepRow(q.delta, res.value, res.tail_bound, energy,
+                     res.value / energy if has_ratio else None)
+            for q, res in zip(params, results)]
 
 
 def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 1024,
@@ -157,8 +162,8 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
     ds = _check_deltas(delta_list)
     _require_resolution(f, grid_n, min(ds))
     energy = sobolev_energy(f, p)
-    rows = [_sweep_row(f, k, FunctionalParams(p=p, delta=d, grid_n=grid_n, **settings),
-                       scheme, energy) for d in ds]
+    rows = _sweep_rows(f, k, [FunctionalParams(p=p, delta=d, grid_n=grid_n, **settings)
+                              for d in ds], scheme, energy)
     meta = {
         "experiment": "delta_sweep",
         "kernel": k.describe(),

@@ -126,17 +126,25 @@ class _PairObjective:
         self.spacings = spacings
         self.factor = k.scale_c * delta ** p
         self.terms = _KernelTerms(k, delta)
-        self.w = _lag_weights(shape, spacings, p)
-        self.idx = np.ix_(*[np.arange(n) for n in shape])   # broadcast per axis
+        # the lag weights reflected per axis, wr[n - 1 + j] = w[|j|]: the weights
+        # a move at c applies are the view wr[n - 1 - c : 2n - 1 - c]
+        self.wr = _lag_weights(shape, spacings, p)[
+            np.ix_(*[np.abs(np.arange(1 - n, n)) for n in shape])]
+        self.dist = (np.empty(shape), np.empty(shape))         # |v - new|, |v - old|
+        self.masks = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
     def full(self, v: np.ndarray) -> float:
         return pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta)
 
     def move_delta(self, v: np.ndarray, where, old: float, new: float) -> float:
         """Objective change when v[where] goes old -> new; ``where`` is an index tuple."""
-        wrow = self.w[tuple(np.abs(ix - c) for ix, c in zip(self.idx, where))]
-        diff = self.terms.values(np.abs(v - new)) - self.terms.values(np.abs(v - old))
-        return self.factor * float(np.sum(wrow * diff))
+        wrow = self.wr[tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(v.shape, where))]
+        a, b = self.dist
+        np.abs(np.subtract(v, new, out=a), out=a)
+        np.abs(np.subtract(v, old, out=b), out=b)
+        diff = self.terms.difference(a, b, a, self.masks)
+        diff *= wrow
+        return self.factor * float(diff.sum())
 
 
 def kappa_estimate(prob: KappaProblem) -> KappaReport:

@@ -683,6 +683,47 @@ def test_eval_writes_the_row_of_a_one_delta_sweep(tmp_path, kind):
     assert row.rstrip().endswith(b"inf-flag") == (kind == "step")
 
 
+_KERNEL_LINES = {
+    "indicator": "kernel.shape = indicator\nkernel.threshold = 0.7\n",
+    "band": "kernel.shape = band\nkernel.lo = 1\nkernel.hi = 2\n",
+    "envelope": "kernel.shape = envelope\nkernel.a = 1\nkernel.b = 1\n",
+}
+
+
+@pytest.mark.parametrize("shape", list(_KERNEL_LINES))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_and_cross_check_rows_are_eval_rows(tmp_path, shape, dim):
+    # one pair traversal serves every delta of a sweep and of a cross-check;
+    # each row must still be, byte for byte, what eval writes at that delta
+    x = np.linspace(-1.0, 1.0, 17)
+    if dim == 1:
+        vals, deltas, n = np.maximum(0.0, 1.0 - np.abs(x)).reshape(1, -1), "0.4, 0.2, 0.1", 256
+    else:
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        vals, deltas, n = np.maximum(0.0, 1.0 - r2) ** 2, "0.8, 0.5", 48
+    np.savetxt(tmp_path / "u.csv", vals, delimiter=",")
+    base = (_KERNEL_LINES[shape] + "kernel.normalize = true\nfunction.kind = grid\n"
+            f"function.grid_file = {tmp_path / 'u.csv'}\nfunction.grid_spacing = 0.125\n"
+            f"function.grid_origin = {', '.join(['-1'] * dim)}\n"
+            f"domain.flavor = whole-space\ndomain.padding = 0.5\nd = {dim}\n"
+            f"grid_n = {n}\npolar.h_steps = 16\npolar.angle_steps = 8\n")
+
+    def run(sub, extra):
+        out = str(tmp_path / sub)
+        status = cli.main([sub, "--config", write_config(tmp_path, base + extra, sub + ".conf"),
+                           "--out", out])
+        assert status in (0, 1) if sub == "cross-check" else status == 0
+        return (tmp_path / f"{sub}.csv").read_text().splitlines()[1:]
+
+    sweep = run("sweep", f"delta_list = {deltas}\n")
+    cross = run("cross-check", f"delta_list = {deltas}\n")
+    assert len(sweep) == len(cross) == len(deltas.split(","))
+    for delta, sweep_row, cross_row in zip(deltas.split(","), sweep, cross):
+        [eval_row] = run("eval", f"delta = {delta}\n")
+        assert sweep_row == eval_row
+        assert cross_row.split(",")[1] == eval_row.split(",")[1]     # pair_value, value
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def broken(cfg, args):
         raise RuntimeError("runner bug")

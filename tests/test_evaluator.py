@@ -184,14 +184,17 @@ def test_move_weights_bitwise_equal_pair_weights_2d(shape):
     n0, n1 = shape
     spac = (1.0 / n0, 1.0 / n1)
     k = nl.band_kernel(1.0, 2.0)
-    # the weight the pair sum applies to each lag: lag sums forced to 1, per-lag terms captured
+    # the weight the pair sum applies to each lag: lag sums forced to 1 (one table
+    # s[j, my, mx + n0 - 1] per delta j), per-lag terms captured
     applied = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "_lag_sums_2d", lambda *a: np.ones((n1, 2 * n0 - 1)))
+        mp.setattr(evaluator, "_lag_sums_2d",
+                   lambda u, terms: np.ones((len(terms), n1, 2 * n0 - 1)))
         mp.setattr(evaluator, "_chunked_sum", lambda terms, chunk: applied.append(terms) or 0.0)
         pair_sum_on_samples(np.zeros(shape), spac, k, 2.0, 1.0)
     lags = [(mx, 0) for mx in range(1, n0)]
     lags += [(mx, my) for my in range(1, n1) for mx in range(1 - n0, n0)]
+    assert len(applied) == 1                  # the weights of the one delta, and no more
     assert len(applied[0]) == len(lags)
     # the weight a move applies: with the band (1, 2) at delta = 1, moving v[i, j]
     # from 0 to 0.5 next to v[a, b] = 2 changes only that pair's term, by exactly 1
@@ -218,6 +221,93 @@ def test_move_running_total_tracks_full(shape, k):
         total += obj.move_delta(v, where, v[where], new)
         v[where] = new
     assert total == pytest.approx(obj.full(v), rel=1e-13)
+
+
+# ----------------------------------------------------------------------
+# one pair traversal per grid: a delta list has the bits of one call per delta
+# ----------------------------------------------------------------------
+
+# every kernel shape; the 0/1 ones count against cuts unless the division form is forced
+_ALL_KERNELS = st.sampled_from([
+    nl.indicator_kernel(threshold=0.5), nl.band_kernel(1.0, 2.0), nl.band_kernel(0.5, math.inf),
+    nl.envelope_kernel(0.8, 1.1, 2.0), nl.power_cutoff_kernel(3.0, 1.5),
+    nl.tabulated_kernel([0.0, 0.5, 1.0, 2.0], [0.0, 0.2, 1.0, 0.0]),
+])
+_DELTA_FACTORS = st.lists(st.sampled_from([1.0, 0.5, 2.0, 1.0 / 3.0, 0.1, 3.0]),
+                          min_size=1, max_size=5)     # any order, duplicates included
+
+
+def _lattice_samples(dim, q, seed):
+    """Integer multiples of q on a random 1-D or 2-D grid (dim 2 may be non-square)."""
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(2, 60)),) if dim == 1 else tuple(int(n) for n in
+                                                               rng.integers(2, 10, size=2))
+    return rng.integers(-6, 7, size=shape) * q
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=_ALL_KERNELS, lattice=_LATTICE, factors=_DELTA_FACTORS, dim=st.sampled_from([1, 2]),
+       block=st.sampled_from([1, 40, 1000]), division=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_delta_list_bitwise_equals_one_call_per_delta(k, lattice, factors, dim, block,
+                                                      division, seed):
+    q, _ = lattice
+    u = _lattice_samples(dim, q, seed)
+    spac = (0.01,) if dim == 1 else (0.1, 0.05)
+    deltas = [q * f for f in factors]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_BLOCK", block)
+        if division:
+            mp.setattr(evaluator, "_count_cuts", lambda k, delta: None)
+        many = pair_sum_on_samples(u, spac, k, 2.5, deltas)
+        one = [pair_sum_on_samples(u, spac, k, 2.5, d) for d in deltas]
+    assert isinstance(many, list) and all(isinstance(v, float) for v in one)
+    assert many == one
+
+
+def test_delta_list_refuses_before_the_traversal_and_on_any_overflow():
+    u = np.linspace(0.0, 2.0, 64)
+    spac = (1.0 / 64,)
+    k = nl.power_cutoff_kernel(400.0, math.inf)     # (|du|/delta)^400 overflows at delta = 0.2
+    assert math.isfinite(pair_sum_on_samples(u, spac, k, 2.0, 0.5))
+    for deltas in ([0.5, 0.2], [0.2, 0.5], [0.5, 0.5, 0.2]):
+        with pytest.raises(ParameterError, match="non-finite pair sum"):
+            pair_sum_on_samples(u, spac, k, 2.0, deltas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_pair_raw_1d", lambda *a: pytest.fail("traversal started"))
+        for deltas, message in (([0.5, math.nan], "delta must be finite"),
+                                ([0.5, -1.0], "delta must be finite"), ([], "empty")):
+            with pytest.raises(ParameterError, match=message):
+                pair_sum_on_samples(u, spac, k, 2.0, deltas)
+
+
+def _gather_move(obj, v, where, old, new):
+    """A kappa move by the gather formula: w[|i - c|] picked per cell, then summed."""
+    w = evaluator._lag_weights(v.shape, obj.spacings, obj.p)
+    idx = np.ix_(*[np.arange(n) for n in v.shape])
+    wrow = w[tuple(np.abs(ix - c) for ix, c in zip(idx, where))]
+    diff = obj.terms.values(np.abs(v - new)) - obj.terms.values(np.abs(v - old))
+    return obj.factor * float(np.sum(wrow * diff))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=_ALL_KERNELS, lattice=_LATTICE, dim=st.sampled_from([1, 2]), division=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_move_delta_bitwise_equals_gather_reference(k, lattice, dim, division, seed):
+    q, r = lattice
+    v = _lattice_samples(dim, q, seed).astype(float)
+    spac = (0.01,) if dim == 1 else (0.1, 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        if division:
+            mp.setattr(evaluator, "_count_cuts", lambda k, delta: None)
+        obj = _PairObjective(k, 2.5, q * r, spac, v.shape)
+    # every corner and edge of the grid, and one inner cell, for the reflected table's ends
+    ends = [sorted({0, n // 2, n - 1}) for n in v.shape]
+    cells = [(i,) for i in ends[0]] if dim == 1 else [(i, j) for i in ends[0] for j in ends[1]]
+    for where in cells:
+        for step in (q, -2.0 * q, q / 3.0):
+            old, new = v[where], v[where] + step
+            assert obj.move_delta(v, where, old, new) == _gather_move(obj, v, where, old, new)
+            v[where] = new              # later moves see a changed v and reused buffers
 
 
 _EDGES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
