@@ -26,7 +26,9 @@ Config lines are `key = value` with dotted sections, e.g.::
     delta_list = 0.4, 0.2, 0.1, 0.05
     grid_n = 4096
 
-A key the run does not read is rejected (``_refuse_unread``).  Identical
+A run accepts exactly the keys it reads: once its reads are done, and
+before it evaluates or writes anything, each runner refuses the first key
+it did not read, naming its line (``Config.refuse_unread``).  Identical
 config and seed reproduce the CSV byte-for-byte (the meta file carries
 wall time and may differ).
 """
@@ -45,14 +47,44 @@ from . import __version__
 from .errors import (ContractError, DomainError, KernelValidationError,
                      ParameterError, ResolutionError)
 from . import experiments, functions, gamma_limit, kernels
-from .evaluator import FunctionalParams, _lambda_pair_deltas, lambda_polar
+from .evaluator import (FunctionalParams, _lambda_pair_deltas, _require_whole_space,
+                        lambda_polar)
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config(path: str) -> dict:
-    cfg = {}
+class Config(dict):
+    """A parsed config: a dict that records every key looked up with `in`,
+    get or [], and the line each key came from.  The keys a run reads are
+    the keys it accepts."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines, self.read = {}, set()      # key -> its line; keys looked up
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def refuse_unread(self, subcommand: str):
+        """Refuse, naming it and its line, the first key no read looked up."""
+        for key in self:
+            if key not in self.read:
+                raise ConfigError(f"line {self.lines[key]}: key {key!r} is not read "
+                                  f"by {subcommand} with this config")
+
+
+def parse_config(path: str) -> Config:
+    cfg = Config()
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -65,10 +97,9 @@ def parse_config(path: str) -> dict:
         if "=" not in text:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {text!r}")
         key, _, value = text.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        cfg[key] = value
+        key = key.strip()
+        cfg[key] = value.strip()
+        cfg.lines[key] = lineno
     return cfg
 
 
@@ -225,12 +256,14 @@ def _settings(cfg: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# subcommand runners: each writes its CSV and returns
-# (meta keys, summary line, exit status); main records the run
+# subcommand runners: each reads its keys, refuses the config's unread
+# ones, then writes its CSV and returns (meta keys, summary line, exit
+# status); main records the run
 # ----------------------------------------------------------------------
 
 def _run_validate_kernel(cfg, args):
     p, d, k = _kernel(cfg)
+    cfg.refuse_unread(args.subcommand)
     report = kernels.validate(k, p, d)
     rows = [
         ["growth", str(report.cond_growth_ok).lower(), report.growth_ratio],
@@ -251,6 +284,7 @@ def _run_eval(cfg, args):
     f = build_function(cfg, d)
     params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"), **_settings(cfg))
     scheme = cfg.get("scheme", "pair")
+    cfg.refuse_unread(args.subcommand)
     [row] = experiments._sweep_rows(f, k, [params], scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
     return ({"kernel": k.describe(), "function": f.describe(), "scheme": scheme},
@@ -261,8 +295,9 @@ def _run_sweep(cfg, args):
     p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
     scheme = cfg.get("scheme", "pair")
-    report = experiments.delta_sweep(f, k, p, _get_list(cfg, "delta_list"), scheme=scheme,
-                                     **_settings(cfg))
+    deltas, settings = _get_list(cfg, "delta_list"), _settings(cfg)
+    cfg.refuse_unread(args.subcommand)
+    report = experiments.delta_sweep(f, k, p, deltas, scheme=scheme, **settings)
     experiments.write_sweep_csv(report, args.out + ".csv")
     bound = report.empirical_bound_ratio
     last = report.rows[-1]
@@ -273,8 +308,9 @@ def _run_sweep(cfg, args):
 
 
 def _run_pathology(cfg, args):
-    report = experiments.band_pathology(_deltas(cfg, 0.25),
-                                        grid_n=_get_int(cfg, "grid_n", 1024))
+    deltas, grid_n = _deltas(cfg, 0.25), _get_int(cfg, "grid_n", 1024)
+    cfg.refuse_unread(args.subcommand)
+    report = experiments.band_pathology(deltas, grid_n=grid_n)
     experiments.write_sweep_csv(report, args.out + ".csv")
     smallest = report.rows[-1]
     return (report.metadata,
@@ -285,6 +321,7 @@ def _run_step_divergence(cfg, args):
     p = _get_float(cfg, "p", 2.0)
     delta = _get_float(cfg, "delta", 0.1)
     ns = [_as_int("n_list", n) for n in _get_list(cfg, "n_list", [1024, 2048, 4096, 8192])]
+    cfg.refuse_unread(args.subcommand)
     report = experiments.step_divergence(p, delta, ns)
     experiments.write_growth_csv(report, args.out + ".csv")
     return (report.metadata,
@@ -301,6 +338,7 @@ def _run_kappa(cfg, args):
         iterations=_get_int(cfg, "kappa.iterations", 2000),
         restarts=_get_int(cfg, "kappa.restarts", 5),
         seed=args.seed)
+    cfg.refuse_unread(args.subcommand)
     report = gamma_limit.kappa_estimate(prob)
     gamma_limit.write_trace_csv(report, args.out + ".csv")
     return (report.summary(),
@@ -314,11 +352,13 @@ def _run_cross_check(cfg, args):
     deltas = _deltas(cfg)
     budget = _get_float(cfg, "cross.budget", 0.02)
     settings = _settings(cfg)
+    cfg.refuse_unread(args.subcommand)
+    _require_whole_space(f.domain)       # refused before any pair traversal
+    params = [FunctionalParams(p=p, delta=delta, **settings) for delta in deltas]
     rows = []
     tail_over_value = []     # how much of the values the certificates cover
     worst = 0.0
     ok = True
-    params = [FunctionalParams(p=p, delta=delta, **settings) for delta in deltas]
     for q, pr in zip(params, _lambda_pair_deltas(f, k, params)):
         po = lambda_polar(f, k, q)
         ref = max(pr.value, po.value, np.finfo(float).eps)
@@ -348,51 +388,6 @@ _RUNNERS = {
     "cross-check": _run_cross_check,
 }
 
-# the config keys read by each subcommand (and ``seed`` by main for all), kernel
-# shape, function kind and domain flavor; _refuse_unread refuses the others
-_SHAPE_KEYS = {"indicator": {"kernel.threshold"}, "band": {"kernel.lo", "kernel.hi"},
-               "envelope": {"kernel.a", "kernel.b"},
-               "power-cutoff": {"kernel.exponent", "kernel.cutoff"},
-               "tabulated": {"kernel.knots", "kernel.values"}}
-_BOX_KEYS = {"domain.lo", "domain.hi"}          # a grid's box is its lattice
-_KIND_KEYS = {"affine": _BOX_KEYS | {"function.gradient", "function.offset"},
-              "cube-profile": _BOX_KEYS,
-              "sine": _BOX_KEYS | {"function.frequency", "function.amplitude"},
-              "step": _BOX_KEYS | {"function.jumps", "function.levels"},
-              "grid": {"function.grid_file", "function.grid_format",
-                       "function.grid_spacing", "function.grid_origin"}}
-_FLAVOR_KEYS = {"bounded": set(), "whole-space": {"domain.padding"}}
-_KERNEL_KEYS = {"p", "d", "kernel.shape", "kernel.c",
-                "kernel.normalize"}.union(*_SHAPE_KEYS.values())
-_FUNCTIONAL_KEYS = _KERNEL_KEYS.union(*_KIND_KEYS.values(), *_FLAVOR_KEYS.values()) | {
-    "function.kind", "domain.flavor", "grid_n", "polar.h_min", "polar.h_max",
-    "polar.h_steps", "polar.angle_steps"}
-_KEYS = {name: frozenset({"seed", *keys}) for name, keys in {
-    "validate-kernel": _KERNEL_KEYS,
-    "eval": _FUNCTIONAL_KEYS | {"delta", "scheme"},
-    "sweep": _FUNCTIONAL_KEYS | {"delta_list", "scheme"},
-    "pathology": {"delta", "delta_list", "grid_n"},
-    "step-divergence": {"p", "delta", "n_list"},
-    "kappa": _KERNEL_KEYS | {"delta", "grid_n", "kappa.iterations", "kappa.restarts",
-                             "kappa.epsilon"},
-    "cross-check": _FUNCTIONAL_KEYS | {"delta", "delta_list", "cross.budget"},
-}.items()}
-_KNOWN_KEYS = frozenset().union(*_KEYS.values())
-
-
-def _refuse_unread(cfg: dict, subcommand: str):
-    """Refuse, naming it, a key of a subcommand, shape, kind or flavor not chosen."""
-    for name, chosen, table in (
-            ("subcommand", subcommand, _KEYS),
-            ("kernel.shape", cfg.get("kernel.shape"), _SHAPE_KEYS),
-            ("function.kind", cfg.get("function.kind"), _KIND_KEYS),
-            ("domain.flavor", cfg.get("domain.flavor", "bounded"), _FLAVOR_KEYS)):
-        if chosen in table:           # an unknown choice is its builder's error
-            unread = set().union(*table.values()) - table[chosen]
-            for key in cfg:
-                if key in unread:
-                    raise ConfigError(f"key {key!r} is not read by {name} = {chosen}")
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -410,9 +405,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = parse_config(args.config)
-        _refuse_unread(cfg, args.subcommand)
-        if args.seed is None:
-            args.seed = _get_int(cfg, "seed", 0)
+        seed = _get_int(cfg, "seed", 0)      # read, and checked, under --seed too
+        args.seed = seed if args.seed is None else args.seed
         meta, line, status = _RUNNERS[args.subcommand](cfg, args)
         # every run is serial (threads: 1); runner keys update these in place
         # ("seed" for kappa), so the record's key order is fixed

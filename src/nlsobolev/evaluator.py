@@ -484,6 +484,13 @@ def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
     return _values_on_product(f, *coords)
 
 
+def _require_whole_space(dom):
+    """The polar scheme's contract: it has no bounded-domain form."""
+    if dom.flavor != "whole-space":
+        raise ContractError("polar scheme expects a whole-space domain; "
+                            "use the pair scheme on a bounded one")
+
+
 def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalResult:
     """Whole-space representation: x-grid times geometric h-grid times angles.
 
@@ -494,9 +501,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
     domain here is a contract error.
     """
     dom = f.domain
-    if dom.flavor != "whole-space":
-        raise ContractError("polar scheme expects a whole-space domain; "
-                            "use the pair scheme on a bounded one")
+    _require_whole_space(dom)
 
     p, delta = params.p, params.delta
     u0, spac = sample_midpoints(f, params.grid_n)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import (_KernelTerms, _lag_weights, _require_grid_n, pair_sum_on_samples,
-                        sample_midpoints)
+from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, _require_grid_n,
+                        pair_sum_on_samples, sample_midpoints)
 from .experiments import SweepReport, _require_resolution, delta_sweep, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _require_delta
@@ -307,12 +307,10 @@ def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list
     infimum) is loose at this resolution, never as a failure of the
     variational inequality itself.
     """
-    if not p >= 1:
-        raise ParameterError("p must be >= 1")
-    _require_grid_n(grid_n)
-    ds = [float(d) for d in delta_list]
-    for d in ds:
-        _require_delta(d)
+    # FunctionalParams checks p, grid_n and each delta
+    ds = [FunctionalParams(p, float(d), grid_n).delta for d in delta_list]
+    if not ds:
+        raise ParameterError("empty delta list")
     g_samples, spac = sample_midpoints(g, grid_n)
     cell_vol = float(np.prod(spac))
     energy = sobolev_energy(g, p)

@@ -104,13 +104,6 @@ def test_validate_kernel_indicator_passes(tmp_path):
     assert "PASS" in res.stdout
 
 
-def test_unknown_key_rejected(tmp_path):
-    conf = write_config(tmp_path, "kernel.shape = indicator\nbogus.key = 1\n")
-    res = run_cli("validate-kernel", "--config", conf, "--out", str(tmp_path / "v"))
-    assert res.returncode == 2
-    assert "bogus.key" in res.stderr
-
-
 def test_missing_config_rejected(tmp_path):
     res = run_cli("sweep", "--config", str(tmp_path / "nope.conf"),
                   "--out", str(tmp_path / "v"))
@@ -442,7 +435,8 @@ polar.h_steps = 32
                                   "cross-check-delta_list-empty",
                                   "eval-cube-profile-2d-box-at-d1", "eval-sine-1d-box-at-d2",
                                   "eval-grid-flavor-typo", "eval-polar-bounded",
-                                  "cross-check-bounded"])
+                                  "cross-check-bounded",
+                                  "validate-kernel-seed-abc-under-cli-seed"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN epsilon disables the search, a NaN indicator threshold gives
@@ -521,9 +515,13 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                "polar scheme expects a whole-space domain"),
         "cross-check-bounded": ("cross-check", AFFINE_EVAL + "grid_n = 256\n",
                                 "polar scheme expects a whole-space domain"),
+        "validate-kernel-seed-abc-under-cli-seed": ("validate-kernel",
+                                                    KERNEL_CONF + "seed = abc\n",
+                                                    "key 'seed': not a number"),
     }[case]
     conf = write_config(tmp_path, text)
-    res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"))
+    seed = ["--seed", "3"] if case.endswith("under-cli-seed") else []
+    res = run_cli(sub, "--config", conf, "--out", str(tmp_path / "e"), *seed)
     assert res.returncode == 2, res.stdout
     assert res.stderr.startswith("error:")
     assert message in res.stderr
@@ -583,13 +581,17 @@ KERNEL_CONF = "kernel.shape = indicator\nkernel.normalize = true\np = 2\n"
     ("eval", GRID_EVAL + "domain.lo = 0\n", "domain.lo"),
     ("sweep", SWEEP_CONF + "domain.padding = 0.5\n", "domain.padding"),
     ("eval", GRID_EVAL + "domain.padding = 0.5\n", "domain.padding"),
+    # delta_list is read in place of delta, never beside it
+    ("cross-check", CROSS_SINE + "delta_list = 0.2\n", "delta"),
+    ("pathology", PATHOLOGY_CONF + "delta_list = 0.2\n", "delta"),
 ], ids=["pathology-p", "pathology-kernel.shape", "pathology-diagonal_policy",
         "step-divergence-kernel.shape", "step-divergence-grid_n", "kappa-function.kind",
         "validate-kernel-delta_list", "sweep-delta", "kappa-step_init-nan",
         "kappa-step_shrink-nan", "kappa-patience", "cross-check-diagonal_policy-bogus",
         "eval-diagonal_policy", "eval-allow_bounded", "sweep-allow_bounded",
         "cross-check-allow_bounded", "band-threshold", "affine-frequency", "affine-jumps",
-        "grid-domain.lo", "bounded-padding", "bounded-grid-padding"])
+        "grid-domain.lo", "bounded-padding", "bounded-grid-padding",
+        "cross-check-delta-beside-delta_list", "pathology-delta-beside-delta_list"])
 def test_unread_key_exits_2(tmp_path, sub, text, key):
     # a key the run does not read would be dropped unseen: pathology always
     # runs the band kernel at p = 2, kappa always estimates the cube profile,
@@ -604,47 +606,35 @@ def test_unread_key_exits_2(tmp_path, sub, text, key):
     assert not list(tmp_path.glob("e.*"))      # no CSV, no meta.json
 
 
-class _RecordingConfig(dict):
-    """A config that records every key looked up with `in`, get or []."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+# one valid config per subcommand
+VALID_CONFIGS = {"validate-kernel": KERNEL_CONF, "eval": AFFINE_EVAL + "grid_n = 256\n",
+                 "sweep": SWEEP_CONF, "pathology": PATHOLOGY_CONF, "step-divergence": STEP_CONF,
+                 "kappa": KAPPA_CONF, "cross-check": CROSS_SINE}
 
 
-@pytest.mark.parametrize("name, choice, flavor", [
-    *[("kernel.shape", shape, None) for shape in cli._SHAPE_KEYS],
-    *[("function.kind", kind, flavor) for kind in cli._KIND_KEYS
-      for flavor in ("bounded", "whole-space")]])
-def test_key_tables_match_the_builders(tmp_path, name, choice, flavor):
-    # main refuses the keys of an unchosen shape, kind or flavor by these
-    # tables, so each builder must read exactly the chosen entries
-    # (domain.padding only on whole-space), whether or not the config sets them
-    (tmp_path / "u.csv").write_text("0,1,0\n")
-    cfg = _RecordingConfig({name: choice, "kernel.knots": "0.5, 1", "kernel.values": "0, 1",
-                            "function.grid_file": str(tmp_path / "u.csv"),
-                            "function.grid_spacing": "0.5"})
-    if name == "kernel.shape":
-        cli.build_kernel(cfg, 1, 2.0)
-        expected = {name, "kernel.c", "kernel.normalize", *cli._SHAPE_KEYS[choice]}
-    else:
-        cfg["domain.flavor"] = flavor
-        cli.build_function(cfg, 1)
-        expected = {name, "domain.flavor", *cli._KIND_KEYS[choice],
-                    *cli._FLAVOR_KEYS[flavor]}
-    assert cfg.read == expected
+def test_unknown_key_rejected(tmp_path, capsys):
+    # every runner refuses a key it does not read, naming it and its line,
+    # before it writes anything; a new runner fails here until it does too
+    assert set(VALID_CONFIGS) == set(cli._RUNNERS)
+    for sub, text in VALID_CONFIGS.items():
+        conf = write_config(tmp_path, text + "bogus.key = 1\n")
+        line = text.count("\n") + 1
+        assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) == 2, sub
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"line {line}: key 'bogus.key' is not read by {sub}" in err
+        assert not list(tmp_path.glob("e.*")), sub
+
+
+def test_cross_check_refuses_bounded_domain_before_evaluating(tmp_path, monkeypatch, capsys):
+    # a bounded domain is refused before the pair traversal starts
+    def traversal(*args):
+        raise RuntimeError("pair traversal ran")
+
+    monkeypatch.setattr(cli, "_lambda_pair_deltas", traversal)
+    conf = write_config(tmp_path, AFFINE_EVAL + "grid_n = 256\n")
+    assert cli.main(["cross-check", "--config", conf, "--out", str(tmp_path / "e")]) == 2
+    assert "polar scheme expects a whole-space domain" in capsys.readouterr().err
 
 
 def test_sweep_process_loads_no_scipy(tmp_path):

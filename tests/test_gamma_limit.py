@@ -168,9 +168,9 @@ def test_lower_bound_probe_sawtooth_family():
     for row in rep.rows:
         params = nl.FunctionalParams(p=2.0, delta=row.delta, grid_n=1024)
         assert row.value == nl.lambda_pair(make(row.delta), _indicator(), params).value
-    for p, grid_n in ((0.5, 1024), (2.0, 8)):
+    for p, grid_n, deltas in ((0.5, 1024, [0.2]), (2.0, 8, [0.2]), (2.0, 1024, [])):
         with pytest.raises(ParameterError):
-            nl.lower_bound_probe(g, [fam], _indicator(), p, [0.2], grid_n=grid_n)
+            nl.lower_bound_probe(g, [fam], _indicator(), p, deltas, grid_n=grid_n)
 
 
 def test_lower_bound_probe_rejects_budget_violation():
