@@ -42,7 +42,6 @@ print("pins down, and the run respects it:",
 
 # the trivial recovery family g_delta = f certifies the upper half of
 # the sandwich: its values tend to the full energy, so kappa <= 1
-rec = nl.recovery_upper_bound(nl.cube_profile(1), k, 2.0,
-                              [0.2, 0.1, 0.05, 0.025], grid_n=2048)
+rec = nl.delta_sweep(nl.cube_profile(1), k, 2.0, [0.2, 0.1, 0.05, 0.025], grid_n=2048)
 print("\nrecovery family values (tend to energy = 1):",
       ", ".join(f"{v:.4f}" for v in rec.values()))

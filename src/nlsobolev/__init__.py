@@ -40,5 +40,4 @@ from .experiments import (GrowthReport, GrowthRow, SweepReport, SweepRow,
                           write_sweep_csv)
 from .gamma_limit import (KappaProblem, KappaReport, PerturbationFamily,
                           ProbeReport, ProbeRow, kappa_estimate,
-                          lower_bound_probe, recovery_upper_bound,
-                          write_trace_csv)
+                          lower_bound_probe, write_trace_csv)

@@ -26,6 +26,7 @@ Config lines are `key = value` with dotted sections, e.g.::
     delta_list = 0.4, 0.2, 0.1, 0.05
     grid_n = 4096
 
+Each key is set once; a repeated key is refused with both its lines.
 A run accepts exactly the keys it reads: once its reads are done, and
 before it evaluates or writes anything, each runner refuses the first key
 it did not read, naming its line (``Config.refuse_unread``).  Identical
@@ -98,6 +99,9 @@ def parse_config(path: str) -> Config:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
+        if key in cfg.lines:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on "
+                              f"line {cfg.lines[key]}")
         cfg[key] = value.strip()
         cfg.lines[key] = lineno
     return cfg

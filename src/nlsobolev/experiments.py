@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -261,9 +260,6 @@ def write_growth_csv(report: GrowthReport, path):
 def write_meta(metadata: dict, path):
     """Write the run record as JSON: its keys, then the library versions,
     then ``wall_time_s`` when the record has one.
-
-    scipy's version is recorded only when the run loaded scipy (a sine
-    energy), so writing the record never imports it.
     """
     from . import __version__
     meta = dict(metadata)
@@ -272,8 +268,6 @@ def write_meta(metadata: dict, path):
         "nlsobolev": __version__,
         "numpy": np.__version__,
     }
-    if "scipy" in sys.modules:
-        meta["versions"]["scipy"] = sys.modules["scipy"].__version__
     if wall is not None:
         meta["wall_time_s"] = wall
     with open(path, "w") as fh:

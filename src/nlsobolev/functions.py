@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .kernels import gamma_dp
 
 __all__ = [
     "Domain",
@@ -431,12 +432,106 @@ def _transverse_volume(domain: Domain) -> float:
     return domain.hi[1] - domain.lo[1]
 
 
-def sobolev_energy(f: TestFunction, p: float) -> float:
-    """int over the domain of |grad u|^p.
+def _incomplete_beta(x: float, y: float, a: float, b: float) -> float:
+    """B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt, given y = 1 - x.
 
-    Exact for affine and the cube profile; adaptive quadrature for sine;
-    finite differences (central inside, one-sided at faces) plus
-    trapezoid weights for grid functions; +inf for steps.
+    The continued fraction of B(x; a, b) / (x^a y^b / a), evaluated by the
+    modified Lentz method; it converges quickly for x < (a+1)/(a+b+2),
+    and callers take the complement beyond that.
+    """
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(1000):
+        m = i // 2
+        if i == 0:
+            num = 1.0
+        elif i % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-16:
+            return x ** a * y ** b / a * (f - 1.0)
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge "
+                          f"(x={x}, a={a}, b={b})")
+
+
+def _cos_power_integral(phi: float, p: float, quarter: float) -> float:
+    """int_0^phi cos^p t dt for 0 <= phi <= pi/2; ``quarter`` is its value at pi/2.
+
+    With s = sin^2 t it is B(sin^2 phi; 1/2, (p+1)/2) / 2, taken from the
+    complement quarter - B(cos^2 phi; (p+1)/2, 1/2) / 2 past the
+    continued fraction's switch point.
+    """
+    a, b = 0.5, (p + 1) / 2
+    s2, c2 = math.sin(phi) ** 2, math.cos(phi) ** 2
+    if s2 < (a + 1) / (a + b + 2):
+        return 0.5 * _incomplete_beta(s2, c2, a, b)
+    return quarter - 0.5 * _incomplete_beta(c2, s2, b, a)
+
+
+def _abs_cos_power_integral(t: float, p: float, quarter: float) -> float:
+    """int_0^(t pi/2) |cos|^p: a running count of quarter periods, t in quarters.
+
+    Quarter q (t in [q, q+1)) is a copy of |cos| on [0, pi/2] for even q
+    and of |sin| for odd q, each worth ``quarter``.
+    """
+    q = math.floor(t)
+    frac = t - q
+    if q % 2 == 0:
+        part = _cos_power_integral(frac * math.pi / 2, p, quarter)
+    else:
+        part = quarter - _cos_power_integral((1 - frac) * math.pi / 2, p, quarter)
+    return q * quarter + part
+
+
+def _grid_energy(vals: np.ndarray, h: float, p: float) -> float:
+    """int |grad u|^p of the multilinear interpolant of a lattice.
+
+    In 1-D the interpolant is linear on each cell, so the sum is exact.
+    In 2-D the bilinear gradient on a cell is (g0(t), g1(s)), each linear
+    in the other coordinate, and one 8 x 8 Gauss-Legendre rule per cell
+    integrates (g0^2 + g1^2)^(p/2).  The rule is exact for polynomials of
+    degree 15 in each variable, so for p = 2, 4, ..., 14 the energy is
+    exact up to rounding.  For other p its error comes from the cells
+    where grad u vanishes, where |grad u|^p is not smooth.  Measured
+    against a 64-node rule: a 33 x 33 sine bump errs by <= 5e-10 relative
+    at p in [1.1, 3]; random 9 x 7 lattices by <= 2e-4 at p = 1.1,
+    3e-5 at p = 1.5 and 6e-6 at p = 2.7 and 3.
+    """
+    if vals.ndim == 1:
+        return float(h * np.sum(np.abs(np.diff(vals) / h) ** p))
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(8)
+    t, w = (x + 1) / 2, w / 2            # nodes and weights on [0, 1]
+    d0, d1 = np.diff(vals, axis=0) / h, np.diff(vals, axis=1) / h
+    total = 0.0
+    # node by node, so that memory stays a few lattice-sized arrays
+    for tj, wj in zip(t, w):             # along axis 1
+        g0 = d0[:, :-1] * (1 - tj) + d0[:, 1:] * tj
+        for ti, wi in zip(t, w):         # along axis 0
+            g1 = d1[:-1] * (1 - ti) + d1[1:] * ti
+            total += wi * wj * np.sum((g0 * g0 + g1 * g1) ** (p / 2))
+    return float(h * h * total)
+
+
+def sobolev_energy(f: TestFunction, p: float) -> float:
+    """int over the domain of |grad u|^p, for the u that ``eval_u`` evaluates.
+
+    - affine, cube profile: exact.
+    - sine: exact up to rounding.  Each whole quarter period of
+      |A w cos(w x)|^p, w = 2 pi f, contributes |A w|^p gamma_dp(2, p) / (4 w);
+      each partial end is an incomplete beta function, summed by its
+      continued fraction.
+    - grid: the energy of the multilinear interpolant; exact in 1-D, an
+      8 x 8 Gauss-Legendre rule per cell in 2-D, exact at p = 2 (see
+      ``_grid_energy`` for its error at other p).
+    - step: +inf.
     """
     if not p > 0:
         raise ParameterError("p must be positive")
@@ -446,30 +541,15 @@ def sobolev_energy(f: TestFunction, p: float) -> float:
     if f.kind == "cube-profile":
         return dom.volume
     if f.kind == "sine":
-        from scipy.integrate import quad  # no closed form for arbitrary lo, hi
-
-        w = 2 * np.pi * f.frequency
-        amp = abs(f.amplitude) * w
-        lo, hi = dom.lo[0], dom.hi[0]
-        # quarter-period breakpoints keep the |cos|^p kinks visible to quad
-        quarter = 0.25 / f.frequency
-        k0, k1 = math.ceil(lo / quarter), math.floor(hi / quarter)
-        pts = [k * quarter for k in range(k0, k1 + 1) if lo < k * quarter < hi]
-        val, _ = quad(lambda x: abs(np.cos(w * x)) ** p, lo, hi,
-                      points=pts[:40] or None, limit=300, epsabs=1e-12, epsrel=1e-12)
-        return float(amp ** p * val * _transverse_volume(dom))
+        w = 2 * math.pi * f.frequency
+        quarter = gamma_dp(2, p) / 4          # int_0^(pi/2) cos^p
+        t_lo, t_hi = (4 * f.frequency * x for x in (dom.lo[0], dom.hi[0]))   # in quarters
+        val = (_abs_cos_power_integral(t_hi, p, quarter)
+               - _abs_cos_power_integral(t_lo, p, quarter))
+        return float((abs(f.amplitude) * w) ** p * val / w * _transverse_volume(dom))
     if f.kind == "step":
         return math.inf
-    # grid: gradient by finite differences on the lattice
-    vals = f.grid_values
-    h = f.grid_spacing
-    if vals.ndim == 1:
-        g = np.gradient(vals, h)
-        integrand = np.abs(g) ** p
-        return float(np.trapezoid(integrand, dx=h))
-    gx, gy = np.gradient(vals, h)
-    integrand = (gx * gx + gy * gy) ** (p / 2.0)
-    return float(np.trapezoid(np.trapezoid(integrand, dx=h, axis=1), dx=h))
+    return _grid_energy(f.grid_values, f.grid_spacing, p)
 
 
 def discrete_lp_norm(values: np.ndarray, cell_volume: float, p: float) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError
 from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, _require_grid_n,
                         pair_sum_on_samples, sample_midpoints)
-from .experiments import SweepReport, _require_resolution, delta_sweep, write_csv
+from .experiments import _require_resolution, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
 from .kernels import Kernel, _require_delta
 
@@ -39,7 +39,6 @@ __all__ = [
     "KappaReport",
     "kappa_estimate",
     "write_trace_csv",
-    "recovery_upper_bound",
     "PerturbationFamily",
     "ProbeRow",
     "ProbeReport",
@@ -250,23 +249,8 @@ def write_trace_csv(report: KappaReport, path):
 
 
 # ----------------------------------------------------------------------
-# recovery families and lower-bound probes
+# perturbation families and lower-bound probes
 # ----------------------------------------------------------------------
-
-def recovery_upper_bound(f: TestFunction, k: Kernel, p: float, delta_list,
-                         grid_n: int = 1024) -> SweepReport:
-    """Evaluate the trivial recovery family g_delta = f along a sweep.
-
-    The pointwise limit of the values is the full energy of f, which
-    dominates kappa times that energy: a concrete witness that the
-    limiting constant cannot exceed 1.
-    """
-    report = delta_sweep(f, k, p, delta_list, grid_n=grid_n)
-    small = report.rows[-min(3, len(report.rows)):]
-    report.metadata["experiment"] = "recovery_upper_bound"
-    report.metadata["limsup_proxy"] = max(r.value for r in small)
-    return report
-
 
 @dataclass(frozen=True)
 class PerturbationFamily:

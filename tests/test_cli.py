@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,14 +279,6 @@ def test_whole_space_padding_defaults_to_one_for_every_kind(tmp_path):
         assert cli.build_function(cfg, 1).domain.padding == 1.0, kind
 
 
-def test_import_path_has_no_scipy():
-    code = ("import sys, nlsobolev.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
-
-
 def test_non_finite_function_rejected(tmp_path):
     conf = write_config(tmp_path, """
 kernel.shape = indicator
@@ -449,9 +442,11 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(np.linspace(-1.0, 1.0, 33)))
                .reshape(1, -1), delimiter=",")
     sub, text, message = {
-        "eval-delta-nan": ("eval", AFFINE_EVAL + "delta = nan\ngrid_n = 256\n",
+        "eval-delta-nan": ("eval",
+                           AFFINE_EVAL.replace("delta = 0.1", "delta = nan") + "grid_n = 256\n",
                            "delta must be finite and positive"),
-        "eval-delta-inf": ("eval", AFFINE_EVAL + "delta = inf\ngrid_n = 256\n",
+        "eval-delta-inf": ("eval",
+                           AFFINE_EVAL.replace("delta = 0.1", "delta = inf") + "grid_n = 256\n",
                            "delta must be finite and positive"),
         "sweep-delta-nan": ("sweep", SWEEP_CONF.replace("0.4, 0.2, 0.1", "0.1, nan"),
                             "delta must be finite and positive"),
@@ -467,17 +462,17 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                            "grid_n must be at least 16"),
         "pathology-grid_n-0": ("pathology", "delta = 0.25\ngrid_n = 0\n",
                                "grid_n must be at least 16"),
-        "kappa-grid_n-0": ("kappa", KAPPA_CONF + "grid_n = 0\n",
+        "kappa-grid_n-0": ("kappa", KAPPA_CONF.replace("grid_n = 512", "grid_n = 0"),
                            "grid_n must be at least 16"),
         "step-divergence-n_list-0": ("step-divergence",
                                      "p = 2\ndelta = 0.1\nn_list = 0, 1024\n",
                                      "grid_n must be at least 16"),
-        "kappa-grid_n-negative": ("kappa", KAPPA_CONF + "grid_n = -4\n",
+        "kappa-grid_n-negative": ("kappa", KAPPA_CONF.replace("grid_n = 512", "grid_n = -4"),
                                   "grid_n must be at least 16"),
         "eval-p-nan": ("eval", "kernel.shape = indicator\nfunction.kind = affine\n"
                                "p = nan\ndelta = 0.1\ngrid_n = 256\n",
                        "p must be >= 1"),
-        "kappa-p-nan": ("kappa", KAPPA_CONF + "p = nan\n",
+        "kappa-p-nan": ("kappa", KAPPA_CONF.replace("p = 2.0", "p = nan"),
                         "calibration integral is only supported for p > 1"),
         "kappa-overflowing-kernel": ("kappa", "kernel.shape = power-cutoff\n"
                                               "kernel.exponent = 400\nkernel.cutoff = inf\n"
@@ -614,16 +609,21 @@ VALID_CONFIGS = {"validate-kernel": KERNEL_CONF, "eval": AFFINE_EVAL + "grid_n =
 
 def test_unknown_key_rejected(tmp_path, capsys):
     # every runner refuses a key it does not read, naming it and its line,
-    # before it writes anything; a new runner fails here until it does too
+    # and a key set twice, naming both lines, before it writes anything; a
+    # new runner fails here until it does too
     assert set(VALID_CONFIGS) == set(cli._RUNNERS)
     for sub, text in VALID_CONFIGS.items():
-        conf = write_config(tmp_path, text + "bogus.key = 1\n")
         line = text.count("\n") + 1
-        assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) == 2, sub
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"line {line}: key 'bogus.key' is not read by {sub}" in err
-        assert not list(tmp_path.glob("e.*")), sub
+        first = next(i for i, t in enumerate(text.split("\n"), 1) if "=" in t)
+        key = text.split("\n")[first - 1].partition("=")[0].strip()
+        for extra, message in [("bogus.key = 1", f"key 'bogus.key' is not read by {sub}"),
+                               (f"{key} = 1", f"key {key!r} is already set on line {first}")]:
+            conf = write_config(tmp_path, text + extra + "\n")
+            assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) == 2, sub
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"line {line}: {message}" in err
+            assert not list(tmp_path.glob("e.*")), sub
 
 
 def test_cross_check_refuses_bounded_domain_before_evaluating(tmp_path, monkeypatch, capsys):
@@ -638,25 +638,27 @@ def test_cross_check_refuses_bounded_domain_before_evaluating(tmp_path, monkeypa
 
 
 def test_sweep_process_loads_no_scipy(tmp_path):
-    # a whole affine sweep, meta.json included, never imports scipy
-    conf = write_config(tmp_path, SWEEP_CONF)
-    code = ("import sys; from nlsobolev import cli; "
-            f"assert cli.main(['sweep', '--config', {conf!r}, '--out', "
-            f"{str(tmp_path / 's')!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
-    assert "scipy" not in json.loads((tmp_path / "s.meta.json").read_text())["versions"]
+    # neither an affine sweep nor the energy of a sine with many periods,
+    # meta.json included, imports scipy or writes to stderr
+    sine = ("kernel.shape = indicator\nkernel.normalize = true\nfunction.kind = sine\n"
+            "function.frequency = 37.3\np = 1.5\ndelta = 0.1\ngrid_n = 256\n")
+    for sub, text in [("sweep", SWEEP_CONF), ("eval", sine)]:
+        conf, out = write_config(tmp_path, text, sub + ".conf"), str(tmp_path / sub)
+        code = ("import sys; from nlsobolev import cli; "
+                f"assert cli.main([{sub!r}, '--config', {conf!r}, '--out', {out!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[-1] == "[]"
+        meta = json.loads((tmp_path / f"{sub}.meta.json").read_text())
+        assert sorted(meta["versions"]) == ["nlsobolev", "numpy"]
 
 
-def test_sine_eval_records_scipy_version(tmp_path):
-    import scipy
-    conf = write_config(tmp_path, "kernel.shape = indicator\nkernel.normalize = true\n"
-                                  "function.kind = sine\ndelta = 0.1\ngrid_n = 256\n")
-    assert run_cli("eval", "--config", conf, "--out", str(tmp_path / "e")).returncode == 0
-    meta = json.loads((tmp_path / "e.meta.json").read_text())
-    assert meta["versions"]["scipy"] == scipy.__version__
+def test_library_source_has_no_scipy_import():
+    for path in Path(cli.__file__).resolve().parent.rglob("*.py"):
+        for line in path.read_text().splitlines():
+            assert not re.match(r"\s*(import|from)\s+scipy\b", line), (path.name, line)
 
 
 @pytest.mark.parametrize("kind", ["affine", "step"])

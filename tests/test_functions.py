@@ -62,6 +62,16 @@ def test_grid_eval_2d_bilinear():
     f = nl.grid_function(vals, [0.0, 0.0], 1.0)
     assert nl.eval_u(f, [0.0, 1.0]) == 1.0
     assert nl.eval_u(f, [0.5, 0.5]) == pytest.approx(1.5)
+    # its energy at p = 2 is exact: on each cell a component of the gradient
+    # is linear, from a0 to a1, and int_0^1 of its square is (a0^2 + a0 a1 + a1^2)/3
+    h = 0.25
+    vals = np.random.default_rng(8).standard_normal((9, 7))
+    exact = 0.0
+    for d in (np.diff(vals, axis=0) / h, np.diff(vals, axis=1).T / h):
+        a0, a1 = d[:, :-1], d[:, 1:]
+        exact += h * h * np.sum(a0 * a0 + a0 * a1 + a1 * a1) / 3
+    f = nl.grid_function(vals, [0.0, 0.0], h)
+    assert nl.sobolev_energy(f, 2.0) == pytest.approx(exact, rel=1e-13)
 
 
 def test_grid_function_refuses_an_unknown_flavor():
@@ -77,6 +87,9 @@ def test_tent_is_exact_and_vanishes_outside_support():
     assert np.allclose(nl.eval_u(tent, xs), expect, atol=1e-15)
     # whole-space: evaluation beyond the window extends by the (zero) edge value
     assert nl.eval_u(tent, 100.0) == 0.0
+    # |u'| = 1 on (-1, 1) and 0 elsewhere, so the energy is 2 for every p
+    for p in (1.5, 2.0, 3.0):
+        assert nl.sobolev_energy(tent, p) == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -104,17 +117,30 @@ def test_energy_cube_profile_is_volume():
 def test_energy_sine_closed_form():
     # int_0^1 (2 pi cos 2 pi x)^2 dx = 2 pi^2
     f = nl.sine_function(1.0, 1.0, nl.bounded_box([0.0], [1.0]))
-    assert nl.sobolev_energy(f, 2.0) == pytest.approx(2 * math.pi ** 2, rel=1e-12)
+    assert nl.sobolev_energy(f, 2.0) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+    # whole periods: the mean of |cos|^p is Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2 + 1))
+    for freq in (1.0, 3.0, 7.0):
+        f = nl.sine_function(freq, 0.7, nl.bounded_box([0.0], [1.0]))
+        for p in (1.5, 2.0, 3.0):
+            mean = math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma(p / 2 + 1))
+            exact = abs(2 * math.pi * freq * 0.7) ** p * mean
+            assert nl.sobolev_energy(f, p) == pytest.approx(exact, rel=1e-14)
 
 
 def test_energy_sine_vs_riemann_oracle():
-    # independent oracle: plain midpoint Riemann sum at high resolution
-    f = nl.sine_function(2.0, 0.7, nl.bounded_box([0.0], [1.0]))
-    for p in (1.5, 3.0):
-        x = (np.arange(200001) + 0.5) / 200001
-        grad = 0.7 * 2 * np.pi * 2.0 * np.cos(2 * np.pi * 2.0 * x)
-        oracle = float(np.mean(np.abs(grad) ** p))
-        assert nl.sobolev_energy(f, p) == pytest.approx(oracle, rel=1e-7)
+    # independent oracle: plain midpoint Riemann sum at high resolution,
+    # on [0, 1] and on random intervals at non-integer frequencies
+    rng = np.random.default_rng(9)
+    cases = [(2.0, 0.0, 1.0)] + [(freq, lo, lo + width) for freq, lo, width in
+                                 zip(rng.uniform(0.3, 5.0, 4), rng.uniform(-2.0, 1.0, 4),
+                                     rng.uniform(0.1, 2.0, 4))]
+    for freq, lo, hi in cases:
+        f = nl.sine_function(freq, 0.7, nl.bounded_box([lo], [hi]))
+        x = lo + (hi - lo) * (np.arange(200001) + 0.5) / 200001
+        grad = 0.7 * 2 * np.pi * freq * np.cos(2 * np.pi * freq * x)
+        for p in (1.5, 3.0):
+            oracle = float(np.mean(np.abs(grad) ** p)) * (hi - lo)
+            assert nl.sobolev_energy(f, p) == pytest.approx(oracle, rel=1e-7)
 
 
 def test_energy_step_is_infinite():
