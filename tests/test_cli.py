@@ -637,6 +637,14 @@ def test_cross_check_refuses_bounded_domain_before_evaluating(tmp_path, monkeypa
     assert "polar scheme expects a whole-space domain" in capsys.readouterr().err
 
 
+def test_import_path_has_no_scipy():
+    code = ("import sys, nlsobolev.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_sweep_process_loads_no_scipy(tmp_path):
     # neither an affine sweep nor the energy of a sine with many periods,
     # meta.json included, imports scipy or writes to stderr

@@ -107,8 +107,36 @@ def test_trace_csv(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# lower-bound probes
+# recovery family and lower-bound probes
 # ----------------------------------------------------------------------
+
+# The trivial recovery family g_delta = f is a delta_sweep of f: its values
+# tend to the full energy of f, which witnesses kappa <= 1. The limsup proxy
+# is the largest of the last three values.
+
+def test_recovery_upper_bound_profile():
+    rep = nl.delta_sweep(nl.cube_profile(1), _indicator(), 2.0,
+                         [0.4, 0.2, 0.1, 0.05], grid_n=2048)
+    vals = rep.values()
+    assert all(a < b for a, b in zip(vals, vals[1:]))    # increasing toward 1
+    assert max(vals[-3:]) <= 1.0
+    assert max(vals[-3:]) == pytest.approx(0.9025, rel=1e-2)
+
+
+def test_recovery_upper_bound_steeper_affine():
+    # slope-2 affine: values approach |grad|^p |Omega| = 4
+    f = nl.affine_function([2.0], 0.0, nl.bounded_box([0.0], [1.0]))
+    rep = nl.delta_sweep(f, _indicator(), 2.0, [0.2, 0.1, 0.05, 0.025],
+                         grid_n=2048)
+    assert rep.rows[-1].value == pytest.approx(4.0 * (1 - 0.025 / 2) ** 2, rel=2e-2)
+    assert max(rep.values()[-3:]) < 4.0
+
+
+def test_recovery_constant_is_zero():
+    f = nl.affine_function([0.0], 2.0, nl.bounded_box([0.0], [1.0]))
+    rep = nl.delta_sweep(f, _indicator(), 2.0, [0.2, 0.1], grid_n=512)
+    assert all(v == 0.0 for v in rep.values())
+
 
 def test_lower_bound_probe_constant_family():
     # consistency between the two estimators on the same discretization:
