@@ -12,7 +12,8 @@ Subcommands map onto the library operations:
 
 Every run writes <prefix>.csv and <prefix>.meta.json and prints a
 one-line summary.  Exit codes: 0 success, 1 validation failure,
-2 parameter/contract/config/I-O error, 3 internal error (a bug).
+2 parameter/contract/config/I-O error (an overflowing value included),
+3 internal error (a bug).
 
 Config lines are `key = value` with dotted sections, e.g.::
 
@@ -355,6 +356,8 @@ def _run_cross_check(cfg, args):
     f = build_function(cfg, d)
     deltas = _deltas(cfg)
     budget = _get_float(cfg, "cross.budget", 0.02)
+    if not 0.0 <= budget < math.inf:
+        raise ConfigError("key 'cross.budget' must be finite and nonnegative")
     settings = _settings(cfg)
     cfg.refuse_unread(args.subcommand)
     _require_whole_space(f.domain)       # refused before any pair traversal
@@ -421,6 +424,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, ResolutionError, ContractError,
             DomainError, KernelValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:         # Python's float ** raises where numpy gives inf
+        print(f"error: value out of range: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc!r}\n{traceback.format_exc()}", end="",

@@ -17,11 +17,15 @@ polar scheme integrates h on a geometric grid (the integrand decays like
 h^-(p+1)) and certifies the omitted head and tail analytically.  In 2-D,
 for one (sigma, h), the shifted cell centres are the tensor product of the
 two shifted axes, so u is evaluated on that product
-(``functions._values_on_product``): a grid function does its index work
+(``functions._values_on_axes``): a grid function does its index work
 per axis, with the same bits as point by point.  A grid function that is
-0 off its lattice (``TestFunction.support_box``) is interpolated only
-where the shifted points reach the lattice, and the 0/1 kernels count
-only there, adding the exact count of the cells whose shifted value is 0.
+0 off its lattice (``TestFunction.support_box``) is evaluated only on the
+rectangle of rows (and columns) whose shifted points reach the lattice:
+``_polar_eval_shifted(f, pts, rect)`` returns u on that rectangle, from
+the (n, nh, d) array of a group's real shifted points, which the bench
+records.  The 0/1 kernels count only the rectangle, adding the exact
+count of the cells whose shifted value is 0; the other kernels place it
+in a zeroed group and sum every cell in order.
 Either scheme refuses a non-finite sum (ParameterError) rather than
 report it.
 
@@ -52,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .functions import (TestFunction, _reach, _values_at, _values_in_rect,
-                        _values_on_product, dilate)
+from .functions import TestFunction, _reach, _values_on_axes, dilate
 from .kernels import Kernel, _require_delta, _shape_values, bound_constant, growth_constant
 
 __all__ = [
@@ -129,11 +132,7 @@ def sample_midpoints(f: TestFunction, n: int):
     ParameterError on a non-finite sample, which no certificate covers.
     """
     axes, spac = _cell_axes(f.domain, n)
-    if f.domain.dim == 1:
-        u = _values_at(f, axes[0])
-    else:
-        u = _values_on_product(f, axes[0], axes[1])
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(_values_on_axes(f, axes), dtype=float)
     if not np.all(np.isfinite(u)):
         raise ParameterError("function samples must be finite")
     return u, spac
@@ -464,24 +463,23 @@ def _lambda_pair_deltas(f: TestFunction, k: Kernel,
 # ----------------------------------------------------------------------
 
 def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
-    """u at one polar group's shifted points: _H_GROUP h-steps or fewer.
+    """u on ``rect`` of one polar group's shifted points: _H_GROUP h-steps or fewer.
 
     pts is (n, nh, d): pts[:, k, ax] is the shifted axis-ax coordinate of
     every cell centre for h-step k, each row a real shifted point, so pts
-    is a (..., d) array of points that ``eval_u`` accepts.  In 1-D the
-    result is (n, nh).  In 2-D the group's point set is the tensor product
-    of the two axes, and the result is (n, n, nh) with
-    out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  rect is None, or the
-    rows (and columns) whose shifted coordinate reaches ``f.support_box``
-    (``functions._reach``): only those are interpolated, and the rest are
-    zeros (``functions._values_in_rect``).
+    is a (..., d) array of points that ``eval_u`` accepts (bench/probe.py
+    records it and times ``eval_u`` on it).  The group's point set is the
+    tensor product of the axes, and u is evaluated on it by
+    ``functions._values_on_axes``: (n, nh) in 1-D, and (n, n, nh) in 2-D
+    with out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  rect is None, which
+    evaluates every cell, or the rows (and columns) whose shifted
+    coordinate reaches ``f.support_box`` (``functions._reach``); then only
+    those are evaluated, and the result is out[rect].  Off rect, u is 0.
     """
     coords = [pts[..., ax] for ax in range(pts.shape[-1])]
     if rect is not None:
-        return _values_in_rect(f, rect, coords)
-    if f.domain.dim == 1:
-        return _values_at(f, coords[0])
-    return _values_on_product(f, *coords)
+        coords = [c[r] for c, r in zip(coords, rect)]
+    return _values_on_axes(f, coords)
 
 
 def _require_whole_space(dom):
@@ -541,14 +539,17 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         coords = [pts[..., ax] for ax in range(dom.dim)]
         rect = None if box is None else _reach(f, box, coords)
         shifted = _polar_eval_shifted(f, pts, rect)
-        cells = rect if counted else ()             # () selects every cell
-        u = u0[cells][..., None]
-        diff = np.subtract(shifted[cells], u,
-                           out=buf[:u.size * nh].reshape(u.shape[:-1] + (nh,)))
+        if rect is not None and not counted:        # u is 0 off rect
+            full = np.zeros(u0.shape + (nh,))
+            full[rect] = shifted
+            shifted = full
+        u = u0[rect] if counted else u0
+        diff = np.subtract(shifted, u[..., None],
+                           out=buf[:u.size * nh].reshape(u.shape + (nh,)))
         np.abs(diff, out=diff)
         per_h = terms.sum(diff.reshape(-1, nh), axis=0,
                           mask=mask[:diff.size].reshape(-1, nh))
-        return per_h + (count_all - terms.sum(abs_u0[cells])) if counted else per_h
+        return per_h + (count_all - terms.sum(abs_u0[rect])) if counted else per_h
 
     parts = []
     with np.errstate(over="ignore"):     # an overflow is refused below, not warned
@@ -620,8 +621,8 @@ def dilation_check(f: TestFunction, k: Kernel, params: FunctionalParams,
 
     evaluated on matched grids (cells map one-to-one under the dilation).
     """
-    if lam <= 0:
-        raise ParameterError("dilation factor must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ParameterError("dilation factor must be finite and positive")
     if abs(lam * params.grid_n - round(lam * params.grid_n)) > 1e-9:
         raise ParameterError("lam * grid_n must be integral for matched grids")
     d = f.domain.dim

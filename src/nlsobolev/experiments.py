@@ -121,10 +121,10 @@ def _require_resolution(f: TestFunction, grid_n: int, delta_min: float):
     h = _max_spacing(f, grid_n)
     if h > delta_min / 8.0:
         width = max(b - a for a, b in zip(f.domain.window_lo, f.domain.window_hi))
-        needed = math.ceil(8.0 * width / delta_min)
+        needed = 8.0 * width / delta_min
         raise ResolutionError(
-            f"grid too coarse: h={h:.3g} > delta_min/8={delta_min / 8:.3g}; "
-            f"need grid_n >= {needed}")
+            f"grid too coarse: h={h:.3g} > delta_min/8={delta_min / 8:.3g}"
+            + (f"; need grid_n >= {math.ceil(needed)}" if math.isfinite(needed) else ""))
 
 
 def _sweep_rows(f: TestFunction, k: Kernel, params: list[FunctionalParams], scheme: str,

@@ -50,6 +50,12 @@ __all__ = [
 _KINDS = ("affine", "cube-profile", "sine", "step", "grid")
 
 
+def _require_finite(name: str, values) -> None:
+    """Refuse a NaN or infinite entry of the parameter ``name``, naming it."""
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Domain:
     dim: int
@@ -63,12 +69,14 @@ class Domain:
             raise ParameterError("only dimensions 1 and 2 are supported")
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise ParameterError("bounds must match the dimension")
+        _require_finite("domain.lo", self.lo)
+        _require_finite("domain.hi", self.hi)
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ParameterError("domain must have positive volume")
         if self.flavor not in ("bounded", "whole-space"):
             raise ParameterError(f"unknown domain.flavor {self.flavor!r}")
-        if self.padding < 0:
-            raise ParameterError("padding must be nonnegative")
+        if not 0.0 <= self.padding < math.inf:
+            raise ParameterError("domain.padding must be finite and nonnegative")
         if self.flavor == "bounded" and self.padding != 0:
             raise ParameterError("a bounded domain has no padding")
 
@@ -166,6 +174,8 @@ def affine_function(a, b: float, domain: Domain) -> TestFunction:
     a = tuple(float(x) for x in np.atleast_1d(a))
     if len(a) != domain.dim:
         raise ParameterError("gradient vector must match the domain dimension")
+    _require_finite("function.gradient", a)
+    _require_finite("function.offset", [b])
     return TestFunction("affine", domain, a=a, b=float(b))
 
 
@@ -180,8 +190,9 @@ def cube_profile(dim: int = 1, domain: Domain | None = None) -> TestFunction:
 
 
 def sine_function(frequency: float, amplitude: float, domain: Domain) -> TestFunction:
-    if frequency <= 0:
-        raise ParameterError("frequency must be positive")
+    if not 0.0 < frequency < math.inf:
+        raise ParameterError("function.frequency must be finite and positive")
+    _require_finite("function.amplitude", [amplitude])
     return TestFunction("sine", domain, frequency=float(frequency), amplitude=float(amplitude))
 
 
@@ -193,6 +204,8 @@ def step_function(jumps, levels, domain: Domain) -> TestFunction:
     levels = tuple(float(v) for v in levels)
     if len(levels) != len(jumps) + 1:
         raise ParameterError("need one more level than jump")
+    _require_finite("function.jumps", jumps)
+    _require_finite("function.levels", levels)
     if any(j1 >= j2 for j1, j2 in zip(jumps, jumps[1:])):
         raise ParameterError("jumps must be strictly increasing")
     return TestFunction("step", domain, jumps=jumps, levels=levels)
@@ -218,11 +231,12 @@ def grid_function(values, origin, spacing: float, flavor: str = "bounded",
         raise ParameterError("grid values must be finite")
     if min(values.shape) < 2:
         raise ParameterError("need at least two nodes per axis")
-    if spacing <= 0:
-        raise ParameterError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise ParameterError("function.grid_spacing must be finite and positive")
     origin = tuple(float(x) for x in np.atleast_1d(origin))
     if len(origin) != values.ndim:
         raise ParameterError("origin must match the lattice dimension")
+    _require_finite("function.grid_origin", origin)
     hi = tuple(o + spacing * (nn - 1) for o, nn in zip(origin, values.shape))
     dom = Domain(values.ndim, origin, hi, flavor, float(padding))
     return TestFunction("grid", dom, grid_values=values, grid_origin=origin,
@@ -346,15 +360,18 @@ def _values_at(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     return _interp_grid(f, (pts,) if f.domain.dim == 1 else (pts[..., 0], pts[..., 1]))
 
 
-def _values_on_product(f: TestFunction, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """u of a 2-D function on the tensor product of two coordinate arrays.
+def _values_on_axes(f: TestFunction, coords) -> np.ndarray:
+    """u on the tensor product of per-axis coordinate arrays.
 
-    c0 is (n0, *rest) on axis 0 and c1 is (n1, *rest) on axis 1; the result
-    is (n0, n1, *rest) with out[i, j, ...] = u(c0[i, ...], c1[j, ...]), the
-    same bits as ``_values_at`` on the materialized points.  The grid kind
-    does its index work per axis; the other kinds broadcast into points.
+    coords holds one (n_ax, *rest) array per axis.  The result is
+    (n0, *rest) in 1-D and (n0, n1, *rest) in 2-D, with
+    out[i, j, ...] = u(coords[0][i, ...], coords[1][j, ...]): the same bits
+    as ``_values_at`` on the materialized points.  The grid kind does its
+    index work per axis; the other kinds broadcast into points.
     """
-    x0, x1 = c0[:, None], c1[None, :]
+    if len(coords) == 1:
+        return _values_at(f, coords[0])
+    x0, x1 = coords[0][:, None], coords[1][None, :]
     if f.kind == "grid":
         return _interp_grid(f, (x0, x1))
     return _values_at(f, np.stack(np.broadcast_arrays(x0, x1), axis=-1))
@@ -386,24 +403,6 @@ def _reach(f: TestFunction, box, coords) -> tuple:
         per_row = flat.size // c.shape[0]
         rect.append(slice(first // per_row, c.shape[0] - flat[::-1].argmax() // per_row))
     return tuple(rect)
-
-
-def _values_in_rect(f: TestFunction, rect, coords) -> np.ndarray:
-    """u of a grid function on the tensor product of per-axis coordinates.
-
-    coords holds (n0, *rest) in 1-D and (n0, *rest), (n1, *rest) in 2-D;
-    the result is (n0, *rest) or (n0, n1, *rest), as ``_values_at`` and
-    ``_values_on_product`` give it.  Only the rectangle ``rect`` of rows
-    (and columns) is interpolated, and the rest is 0: with rect from
-    ``_reach``, u is 0 there, which the interpolant gives as +-0.
-    """
-    sub = [c[r] for c, r in zip(coords, rect)]
-    # interpolate first, so that the output can reuse the memory its
-    # temporaries have just freed
-    vals = _values_at(f, sub[0]) if len(sub) == 1 else _values_on_product(f, *sub)
-    out = np.zeros(tuple(c.shape[0] for c in coords) + coords[0].shape[1:])
-    out[rect] = vals
-    return out
 
 
 def eval_u(f: TestFunction, x):
@@ -567,8 +566,8 @@ def dilate(f: TestFunction, lam: float) -> TestFunction:
     Every supported kind is closed under this map (the cube profile is
     invariant up to the domain).
     """
-    if lam <= 0:
-        raise ParameterError("dilation factor must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ParameterError("dilation factor must be finite and positive")
     dom = f.domain
     new_dom = Domain(dom.dim, tuple(lam * a for a in dom.lo), tuple(lam * b for b in dom.hi),
                      dom.flavor, lam * dom.padding)

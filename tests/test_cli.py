@@ -429,7 +429,13 @@ polar.h_steps = 32
                                   "eval-cube-profile-2d-box-at-d1", "eval-sine-1d-box-at-d2",
                                   "eval-grid-flavor-typo", "eval-polar-bounded",
                                   "cross-check-bounded",
-                                  "validate-kernel-seed-abc-under-cli-seed"])
+                                  "validate-kernel-seed-abc-under-cli-seed",
+                                  "eval-step-jump-nan", "eval-sine-frequency-inf",
+                                  "eval-sine-domain.hi-nan", "eval-padding-inf",
+                                  "cross-check-grid_origin-nan", "eval-delta-1e308",
+                                  "kappa-epsilon-1e308", "eval-polar-p-1e308",
+                                  "sweep-domain.hi-1e308", "cross-check-budget-nan",
+                                  "cross-check-budget-negative"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN epsilon disables the search, a NaN indicator threshold gives
@@ -437,10 +443,16 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # kappa_hat=inf or a polar value=inf, an empty delta_list passes cross-check,
     # a box of the wrong dimension is integrated with a kernel normalized for
     # d, a grid's flavor typo runs as whole-space; the polar scheme has no
-    # bounded-domain form
+    # bounded-domain form.  A NaN step jump printed a value, a non-finite
+    # sine frequency or bound, a NaN grid origin and an overflowing value
+    # (Python's float ** raises) ended as internal errors, a NaN or negative
+    # budget gave a FAIL verdict
     lattice = tmp_path / "tent.csv"
-    np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(np.linspace(-1.0, 1.0, 33)))
-               .reshape(1, -1), delimiter=",")
+    x = np.linspace(-1.0, 1.0, 33)
+    np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(x)).reshape(1, -1), delimiter=",")
+    np.savetxt(tmp_path / "bump.csv", np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2),
+               delimiter=",")
+    sine = "kernel.shape = indicator\nfunction.kind = sine\ndelta = 0.1\ngrid_n = 256\n"
     sub, text, message = {
         "eval-delta-nan": ("eval",
                            AFFINE_EVAL.replace("delta = 0.1", "delta = nan") + "grid_n = 256\n",
@@ -513,6 +525,38 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
         "validate-kernel-seed-abc-under-cli-seed": ("validate-kernel",
                                                     KERNEL_CONF + "seed = abc\n",
                                                     "key 'seed': not a number"),
+        "eval-step-jump-nan": ("eval", "kernel.shape = indicator\nkernel.normalize = true\n"
+                                       "function.kind = step\nfunction.jumps = 0.25, nan\n"
+                                       "delta = 0.2\ngrid_n = 64\n",
+                               "function.jumps must be finite"),
+        "eval-sine-frequency-inf": ("eval", sine + "function.frequency = inf\n",
+                                    "function.frequency must be finite and positive"),
+        "eval-sine-domain.hi-nan": ("eval", sine + "domain.hi = nan\n",
+                                    "domain.hi must be finite"),
+        "eval-padding-inf": ("eval", CROSS_SINE.replace("padding = 0.5", "padding = inf"),
+                             "domain.padding must be finite and nonnegative"),
+        "cross-check-grid_origin-nan": ("cross-check",
+                                        "kernel.shape = indicator\nkernel.normalize = true\n"
+                                        "function.kind = grid\n"
+                                        f"function.grid_file = {tmp_path / 'bump.csv'}\n"
+                                        "function.grid_spacing = 0.0625\n"
+                                        "function.grid_origin = nan, -1\n"
+                                        "domain.flavor = whole-space\nd = 2\n"
+                                        "delta = 0.5\ngrid_n = 32\npolar.h_steps = 16\n",
+                                        "function.grid_origin must be finite"),
+        "eval-delta-1e308": ("eval", AFFINE_EVAL.replace("delta = 0.1", "delta = 1e308")
+                             + "grid_n = 256\n", "error: value out of range"),
+        "kappa-epsilon-1e308": ("kappa", KAPPA_CONF + "kappa.epsilon = 1e308\n",
+                                "error: value out of range"),
+        "eval-polar-p-1e308": ("eval", sine + "domain.flavor = whole-space\np = 1e308\n"
+                                     "scheme = polar\npolar.h_steps = 32\n",
+                               "error: value out of range"),
+        "sweep-domain.hi-1e308": ("sweep", SWEEP_CONF.replace("domain.hi = 1", "domain.hi = 1e308"),
+                                  "delta_min/8=0.0125\n"),      # no "need grid_n >= inf"
+        "cross-check-budget-nan": ("cross-check", CROSS_SINE + "cross.budget = nan\n",
+                                   "key 'cross.budget' must be finite and nonnegative"),
+        "cross-check-budget-negative": ("cross-check", CROSS_SINE + "cross.budget = -5\n",
+                                        "key 'cross.budget' must be finite and nonnegative"),
     }[case]
     conf = write_config(tmp_path, text)
     seed = ["--seed", "3"] if case.endswith("under-cli-seed") else []
@@ -753,3 +797,91 @@ def test_demo_configs(tmp_path, name, sub, status, header):
     assert keys[:4] == ["config", "subcommand", "threads", "seed"]
     assert keys[-2:] == ["versions", "wall_time_s"]
     assert meta["subcommand"] == sub
+
+
+_FUZZ_KERNEL = "kernel.shape = indicator\nkernel.c = 1\nkernel.threshold = 1\n" \
+               "kernel.normalize = true\np = 2\nd = 1\nseed = 1\n"
+_FUZZ_AFFINE = "function.kind = affine\nfunction.gradient = 1\nfunction.offset = 0.5\n" \
+               "domain.lo = 0\ndomain.hi = 1\ndelta = 0.2\ngrid_n = 64\n"
+_FUZZ_POLAR = "domain.flavor = whole-space\ndomain.padding = 0.5\npolar.h_min = 0.001\n" \
+              "polar.h_max = 100\npolar.h_steps = 16\npolar.angle_steps = 4\n"
+# valid configs that set every numeric key somewhere: one per subcommand,
+# one eval per function kind and one per kernel shape
+FUZZ_BASES = {
+    "validate-kernel": ("validate-kernel", _FUZZ_KERNEL),
+    "eval-affine": ("eval", _FUZZ_KERNEL + _FUZZ_AFFINE),
+    "eval-cube-profile": ("eval", _FUZZ_KERNEL.replace("d = 1", "d = 2")
+                          + "function.kind = cube-profile\ndomain.lo = 0, 0\n"
+                            "domain.hi = 1, 1\ndelta = 0.5\ngrid_n = 16\n"),
+    "eval-sine": ("eval", _FUZZ_KERNEL + _FUZZ_POLAR
+                  + "function.kind = sine\nfunction.frequency = 2\nfunction.amplitude = 0.5\n"
+                    "domain.lo = 0\ndomain.hi = 1\ndelta = 0.2\ngrid_n = 64\nscheme = polar\n"),
+    "eval-step": ("eval", _FUZZ_KERNEL + "function.kind = step\nfunction.jumps = 0.25, 0.5\n"
+                          "function.levels = 0, 1, 0\ndomain.lo = 0\ndomain.hi = 1\n"
+                          "delta = 0.2\ngrid_n = 64\n"),
+    "eval-grid": ("eval", _FUZZ_KERNEL.replace("d = 1", "d = 2") + _FUZZ_POLAR
+                  + "function.kind = grid\nfunction.grid_file = {tmp}/bump.csv\n"
+                    "function.grid_spacing = 0.25\nfunction.grid_origin = -1, -1\n"
+                    "delta = 0.5\ngrid_n = 16\nscheme = polar\n"),
+    "eval-band": ("eval", "kernel.shape = band\nkernel.lo = 1\nkernel.hi = 2\n" + _FUZZ_AFFINE),
+    "eval-envelope": ("eval", "kernel.shape = envelope\nkernel.a = 1\nkernel.b = 1\n"
+                      + _FUZZ_AFFINE),
+    "eval-power-cutoff": ("eval", "kernel.shape = power-cutoff\nkernel.exponent = 3\n"
+                                  "kernel.cutoff = 1\n" + _FUZZ_AFFINE),
+    "eval-tabulated": ("eval", "kernel.shape = tabulated\nkernel.knots = 0, 1, 2\n"
+                               "kernel.values = 0, 0.5, 1\n" + _FUZZ_AFFINE),
+    "sweep": ("sweep", _FUZZ_KERNEL + _FUZZ_AFFINE.replace("delta = 0.2", "delta_list = 0.4, 0.2")),
+    "pathology": ("pathology", "delta_list = 0.75, 0.49\ngrid_n = 64\n"),
+    "step-divergence": ("step-divergence", "p = 2\ndelta = 0.5\nn_list = 64, 128\n"),
+    "kappa": ("kappa", _FUZZ_KERNEL + "delta = 0.2\ngrid_n = 64\nkappa.epsilon = 0.05\n"
+                                      "kappa.iterations = 20\nkappa.restarts = 2\n"),
+    "cross-check": ("cross-check", _FUZZ_KERNEL + _FUZZ_POLAR
+                    + "function.kind = sine\ndomain.lo = 0\ndomain.hi = 1\n"
+                      "delta_list = 0.4, 0.2\ngrid_n = 64\ncross.budget = 0.5\n"),
+}
+# keys whose values are counts: 1e308 there is an allocation size, which
+# is not a parameter this check is about
+_COUNT_KEYS = {"grid_n", "n_list", "polar.h_steps", "polar.angle_steps", "kappa.iterations",
+               "kappa.restarts", "d", "seed"}
+
+
+def _fuzz_cases(text):
+    """(key, config) with one numeric entry of one line replaced, for each bad value."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key, _, value = (part.strip() for part in line.partition("="))
+        entries = value.split(", ")
+        try:
+            [float(e) for e in entries]
+        except ValueError:
+            continue
+        for j in range(len(entries)):
+            for bad in ("nan", "inf", "-inf", "1e308"):
+                if bad == "1e308" and key in _COUNT_KEYS:
+                    continue
+                new = ", ".join(bad if m == j else e for m, e in enumerate(entries))
+                yield f"{key}[{j}]={bad}", "\n".join(
+                    lines[:i] + [f"{key} = {new}"] + lines[i + 1:]) + "\n"
+
+
+def test_config_fuzz_never_exits_3_and_nan_exits_2(tmp_path, capsys):
+    # every numeric entry of valid configs, replaced in turn by nan, +-inf
+    # and 1e308: a malformed or out-of-range value is a parameter error
+    # (exit 2), never an internal error, and a NaN never yields a verdict
+    x = np.linspace(-1.0, 1.0, 9)
+    np.savetxt(tmp_path / "bump.csv", np.maximum(0.0, 1.0 - x[:, None] ** 2 - x[None, :] ** 2),
+               delimiter=",")
+    wrong, n_cases = [], 0
+    for name, (sub, text) in FUZZ_BASES.items():
+        text = text.replace("{tmp}", str(tmp_path))
+        conf = write_config(tmp_path, text)
+        assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) in (0, 1), name
+        for case, bad_text in _fuzz_cases(text):
+            n_cases += 1
+            conf = write_config(tmp_path, bad_text)
+            status = cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")])
+            err = capsys.readouterr().err
+            if status == 3 or ("=nan" in case and status != 2):
+                wrong.append((name, case, status, err.splitlines()[:1]))
+    assert n_cases > 300
+    assert wrong == []

@@ -468,6 +468,15 @@ def test_dilation_check_identity():
         assert nl.dilation_check(f, k, params, 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_dilation_check_refuses_a_non_finite_factor(lam):
+    # a NaN used to reach round() and raise a bare ValueError
+    f = nl.affine_function([1.0], 0.0, nl.bounded_box([0.0], [1.0]))
+    params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=256)
+    with pytest.raises(ParameterError, match="dilation factor must be finite and positive"):
+        nl.dilation_check(f, nl.indicator_kernel(), params, lam)
+
+
 def test_dilation_check_rejects_fractional_grid():
     f = nl.affine_function([1.0], 0.0, nl.bounded_box([0.0], [1.0]))
     params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=256)
@@ -522,8 +531,10 @@ def _shifted_pointwise(f, pts):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
     # u evaluated point by point at every shifted point, on and off the
-    # support box, equals what the seam returns (zeros off the box) and
-    # gives lambda_polar the same bits
+    # support box, equals what the seam returns on its rectangle and is
+    # exactly 0 off it, and gives lambda_polar the same bits.  The seam
+    # returns an array of its rectangle's shape for every group, and under
+    # a 0/1 kernel lambda_polar builds no zero-filled group
     if dim == 1:
         f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
         params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
@@ -536,18 +547,39 @@ def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
                                      polar_angle_steps=8)
     assert f.support_box is not None
     shifted = evaluator._polar_eval_shifted
+    sizes = []                  # per group: (rectangle cells, group cells)
 
     def pointwise(f_, pts, rect):
         want = _shifted_pointwise(f_, pts)
-        assert np.array_equal(shifted(f_, pts, rect), want)
-        return want
+        got = shifted(f_, pts, rect)
+        assert rect is not None
+        assert got.shape == want[rect].shape
+        assert np.array_equal(got, want[rect])
+        off = want.copy()
+        off[rect] = 0.0
+        assert np.all(off == 0.0)            # +0 and -0 compare equal
+        sizes.append((got.size, want.size))
+        return want[rect]
+
+    zeros = []
+    np_zeros = np.zeros
+
+    def recorded_zeros(shape, *args, **kwargs):
+        zeros.append(shape)
+        return np_zeros(shape, *args, **kwargs)
 
     for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
         k = nl.normalize(k, dim, 2.0)
-        got = nl.lambda_polar(f, k, params).value
+        zeros.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "zeros", recorded_zeros)
+            got = nl.lambda_polar(f, k, params).value
+        assert (zeros == []) == (k.shape == "indicator"), k.shape
+        sizes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(evaluator, "_polar_eval_shifted", pointwise)
             assert nl.lambda_polar(f, k, params).value == got, k.shape
+        assert any(0 < r < g for r, g in sizes) and any(r == 0 for r, _ in sizes)
 
 
 def _polar_dense(f, k, params):
@@ -638,13 +670,16 @@ def test_values_in_rect_equal_interpolant_on_full_product(data, dim, rest):
     coords = [_axis_coords(data.draw, lo, hi, (data.draw(st.integers(1, 6)), rest))
               for lo, hi in box]
     rect = functions._reach(f, box, coords)
-    got = functions._values_in_rect(f, rect, coords)
+    got = functions._values_on_axes(f, [c[r] for c, r in zip(coords, rect)])
     if dim == 1:
         want = functions._interp_grid(f, coords)
     else:
         want = functions._interp_grid(f, (coords[0][:, None], coords[1][None, :]))
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)         # +0 and -0 compare equal
+    assert got.shape == want[rect].shape
+    assert np.array_equal(got, want[rect])
+    off = want.copy()
+    off[rect] = 0.0
+    assert np.all(off == 0.0)                # +0 and -0 compare equal
 
 
 def _bilinear_reference(f, pts):
@@ -690,7 +725,7 @@ def _lattice_and_coords(draw):
 def test_tensor_grid_values_bitwise_equal_pointwise(case):
     values, origin, spacing, c0, c1 = case
     f = nl.grid_function(values, origin, spacing, flavor="whole-space", padding=1.0)
-    got = functions._values_on_product(f, c0, c1)
+    got = functions._values_on_axes(f, (c0, c1))
     assert got.shape == c0.shape[:1] + c1.shape
     pts = np.stack(np.broadcast_arrays(c0[:, None], c1[None, :]), axis=-1)
     assert got.tobytes() == _product_pointwise(f, c0, c1).tobytes()
@@ -835,18 +870,22 @@ def test_sample_midpoints_layout():
 
 def test_non_finite_samples_rejected():
     k = nl.normalize(nl.indicator_kernel(), 1, 2.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="grid values must be finite"):
         nl.grid_function([0.0, 0.5, np.nan, 0.2], [0.0], 0.25)
-    nan_affine = nl.affine_function([np.nan], 0.0, nl.bounded_box([0.0], [1.0]))
-    with pytest.raises(ParameterError):
-        sample_midpoints(nan_affine, 64)
+    # the constructors refuse NaN and infinite parameters themselves
+    with pytest.raises(ParameterError, match="function.gradient must be finite"):
+        nl.affine_function([np.nan], 0.0, nl.bounded_box([0.0], [1.0]))
+    with pytest.raises(ParameterError, match="function.amplitude must be finite"):
+        nl.sine_function(1.0, np.inf, nl.whole_space([0.0], [1.0]))
+    # finite parameters whose samples overflow (x > 1.8) reach the sample check
+    huge = nl.affine_function([1e308], 0.0, nl.bounded_box([0.0], [4.0]))
+    huge_space = nl.affine_function([1e308], 0.0, nl.whole_space([0.0], [4.0]))
     params = nl.FunctionalParams(p=2.0, delta=0.2, grid_n=64, polar_h_steps=16)
-    with pytest.raises(ParameterError):
-        nl.lambda_pair(nan_affine, k, params)
-    inf_sine = nl.sine_function(1.0, np.inf, nl.whole_space([0.0], [1.0]))
-    with pytest.raises(ParameterError):
-        nl.lambda_polar(inf_sine, k, params)
-    prob = nl.KappaProblem(kernel=k, delta=0.2, grid_n=64,
-                           iterations=10, restarts=1, profile=nan_affine)
-    with pytest.raises(ParameterError):
-        nl.kappa_estimate(prob)
+    prob = nl.KappaProblem(kernel=k, delta=0.2, grid_n=256,
+                           iterations=10, restarts=1, profile=huge)
+    for run in (lambda: sample_midpoints(huge, 64), lambda: nl.lambda_pair(huge, k, params),
+                lambda: nl.lambda_polar(huge_space, k, params),
+                lambda: nl.kappa_estimate(prob)):
+        with pytest.raises(ParameterError, match="function samples must be finite"), \
+                np.errstate(over="ignore"):
+            run()

@@ -1,6 +1,7 @@
 """Domain/test-function evaluation and reference energy checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,31 @@ def test_domain_validation():
 def test_step_needs_matching_levels():
     with pytest.raises(ParameterError):
         nl.step_function([0.0], [1.0], nl.bounded_box([-1.0], [1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_non_finite_parameters(bad):
+    # each refusal names the parameter; a NaN used to pass checks such as
+    # jumps[i] >= jumps[i + 1] and reach the evaluators
+    box = nl.bounded_box([0.0], [1.0])
+    cases = {
+        "domain.lo": lambda: nl.Domain(1, (bad,), (1.0,)),
+        "domain.hi": lambda: nl.Domain(1, (0.0,), (bad,)),
+        "domain.padding": lambda: nl.whole_space([0.0], [1.0], bad),
+        "function.gradient": lambda: nl.affine_function([1.0, bad], 0.0,
+                                                        nl.bounded_box([0, 0], [1, 1])),
+        "function.offset": lambda: nl.affine_function([1.0], bad, box),
+        "function.frequency": lambda: nl.sine_function(bad, 1.0, box),
+        "function.amplitude": lambda: nl.sine_function(1.0, bad, box),
+        "function.jumps": lambda: nl.step_function([0.25, bad], [0.0, 1.0, 0.0], box),
+        "function.levels": lambda: nl.step_function([0.5], [0.0, bad], box),
+        "function.grid_spacing": lambda: nl.grid_function([0.0, 1.0, 0.0], [0.0], bad),
+        "function.grid_origin": lambda: nl.grid_function(np.zeros((3, 3)), [bad, -1.0], 0.5),
+        "dilation factor": lambda: nl.dilate(nl.cube_profile(1), bad),
+    }
+    for name, build in cases.items():
+        with pytest.raises(ParameterError, match=re.escape(name)):
+            build()
 
 
 def test_discrete_lp_norm():
