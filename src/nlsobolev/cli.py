@@ -12,8 +12,8 @@ Subcommands map onto the library operations:
 
 Every run writes <prefix>.csv and <prefix>.meta.json and prints a
 one-line summary.  Exit codes: 0 success, 1 validation failure,
-2 parameter/contract/config/I-O error (an overflowing value included),
-3 internal error (a bug).
+2 parameter/contract/config/I-O error (an overflowing value and an array
+too large to allocate included), 3 internal error (a bug).
 
 Config lines are `key = value` with dotted sections, e.g.::
 
@@ -427,6 +427,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:         # Python's float ** raises where numpy gives inf
         print(f"error: value out of range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:           # an array the config asks for is too large
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc!r}\n{traceback.format_exc()}", end="",

@@ -18,16 +18,17 @@ h^-(p+1)) and certifies the omitted head and tail analytically.  In 2-D,
 for one (sigma, h), the shifted cell centres are the tensor product of the
 two shifted axes, so u is evaluated on that product
 (``functions._values_on_axes``): a grid function does its index work
-per axis, with the same bits as point by point.  A grid function that is
-0 off its lattice (``TestFunction.support_box``) is evaluated only on the
-rectangle of rows (and columns) whose shifted points reach the lattice:
-``_polar_eval_shifted(f, pts, rect)`` returns u on that rectangle, from
-the (n, nh, d) array of a group's real shifted points, which the bench
-records.  The 0/1 kernels count only the rectangle, adding the exact
-count of the cells whose shifted value is 0; the other kernels place it
-in a zeroed group and sum every cell in order.
+per axis, with the same bits as point by point.
+``_polar_eval_shifted(f, pts, rect)`` returns u from the (n, nh, d) array
+of a group's real shifted points, which the bench records.  Under a 0/1
+kernel, a grid function that is 0 off its lattice
+(``TestFunction.support_box``) is evaluated and counted only on the
+rectangle of rows (and columns) whose shifted points reach the lattice,
+plus the exact count of the cells whose shifted value is 0; every other
+kernel, and every function without a box, is evaluated and summed on
+every cell of the group, in order.
 Either scheme refuses a non-finite sum (ParameterError) rather than
-report it.
+report it, and the polar scheme a non-finite shifted value of u.
 
 Determinism: all reductions run serially over a fixed chunking of the
 term index space, combined by a fixed-order pairwise tree.  One pair core
@@ -141,10 +142,16 @@ def sample_midpoints(f: TestFunction, n: int):
 def _cell_axes(dom, n: int):
     """Cell-centre coordinates along each axis of the window, and the spacings.
 
-    The cells of a 2-D window are the tensor product of the two axes.
+    The cells of a 2-D window are the tensor product of the two axes.  A
+    grid_n whose axis numpy cannot allocate is a ParameterError.
     """
     spac = tuple((b - a) / n for a, b in zip(dom.window_lo, dom.window_hi))
-    return [a + (np.arange(n) + 0.5) * h for a, h in zip(dom.window_lo, spac)], spac
+    try:
+        centres = np.arange(n) + 0.5
+    except (ValueError, MemoryError) as exc:    # past numpy's size limit, or the memory's
+        raise ParameterError(f"grid_n is too large: its cells cannot be allocated ({exc})"
+                             ) from exc
+    return [a + centres * h for a, h in zip(dom.window_lo, spac)], spac
 
 
 def _tree_sum(parts: list[float]) -> float:
@@ -472,9 +479,9 @@ def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
     tensor product of the axes, and u is evaluated on it by
     ``functions._values_on_axes``: (n, nh) in 1-D, and (n, n, nh) in 2-D
     with out[i, j, k] = u(pts[i, k, 0], pts[j, k, 1]).  rect is None, which
-    evaluates every cell, or the rows (and columns) whose shifted
-    coordinate reaches ``f.support_box`` (``functions._reach``); then only
-    those are evaluated, and the result is out[rect].  Off rect, u is 0.
+    evaluates every cell, or, for a 0/1 kernel, the rows (and columns) whose
+    shifted coordinate reaches ``f.support_box`` (``functions._reach``); then
+    only those are evaluated, and the result is out[rect].  Off rect, u is 0.
     """
     coords = [pts[..., ax] for ax in range(pts.shape[-1])]
     if rect is not None:
@@ -522,37 +529,34 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         ang_w = 2.0 * math.pi / n_th
 
     terms = _KernelTerms(k, delta)
-    box = f.support_box
     # a 0/1 kernel counts only the cells of a group's rectangle; off it the
     # shifted value is 0, so |du| = |u0| and those cells add
-    # count(|u0|) - count(|u0[rect]|).  The other kernels sum every cell, in
-    # the same order as when u was evaluated everywhere.
-    counted = terms.cuts is not None and box is not None
-    abs_u0 = np.abs(u0)
-    count_all = terms.sum(abs_u0) if counted else 0
+    # count(|u0|) - count(|u0[rect]|).  Every other kernel sums every cell.
+    box = f.support_box if terms.cuts is not None else None
+    if box is not None:
+        abs_u0 = np.abs(u0)
+        count_all = terms.sum(abs_u0)
     buf = np.empty(u0.size * _H_GROUP)              # |du| of one group
     mask = np.empty(buf.size, dtype=bool)
 
     def group_sums(pts):
         """Kernel sums per h-step of one group; pts holds its (n, nh, d) points."""
         nh = pts.shape[1]
-        coords = [pts[..., ax] for ax in range(dom.dim)]
-        rect = None if box is None else _reach(f, box, coords)
+        rect = None if box is None else _reach(f, box, [pts[..., ax] for ax in range(dom.dim)])
         shifted = _polar_eval_shifted(f, pts, rect)
-        if rect is not None and not counted:        # u is 0 off rect
-            full = np.zeros(u0.shape + (nh,))
-            full[rect] = shifted
-            shifted = full
-        u = u0[rect] if counted else u0
+        if not np.isfinite(shifted).all():
+            raise ParameterError("u is not finite at a shifted point x + delta*h*sigma")
+        u = u0 if rect is None else u0[rect]
         diff = np.subtract(shifted, u[..., None],
                            out=buf[:u.size * nh].reshape(u.shape + (nh,)))
         np.abs(diff, out=diff)
         per_h = terms.sum(diff.reshape(-1, nh), axis=0,
                           mask=mask[:diff.size].reshape(-1, nh))
-        return per_h + (count_all - terms.sum(abs_u0[rect])) if counted else per_h
+        return per_h if rect is None else per_h + (count_all - terms.sum(abs_u0[rect]))
 
     parts = []
-    with np.errstate(over="ignore"):     # an overflow is refused below, not warned
+    # an overflow is refused below and a NaN shifted value in group_sums, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
         for sigma in sigmas:
             for a in range(0, h_grid.size, _H_CHUNK):
                 b = min(a + _H_CHUNK, h_grid.size)

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, _require_grid_n,
-                        pair_sum_on_samples, sample_midpoints)
+from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, pair_sum_on_samples,
+                        sample_midpoints)
 from .experiments import _require_resolution, write_csv
 from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
-from .kernels import Kernel, _require_delta
+from .kernels import Kernel
 
 __all__ = [
     "KappaProblem",
@@ -72,10 +72,8 @@ class KappaProblem:
     profile: TestFunction | None = None   # override: e.g. an affine on a dilated box
 
     def __post_init__(self):
-        _require_delta(self.delta)
-        _require_grid_n(self.grid_n)
-        if not self.p >= 1:
-            raise ParameterError("need p >= 1")
+        # FunctionalParams checks p, delta, grid_n and threads
+        FunctionalParams(self.p, self.delta, self.grid_n, threads=self.threads)
         if self.d not in (1, 2):
             raise ParameterError("d must be 1 or 2")
         if self.iterations < 0 or self.restarts < 1:
@@ -84,8 +82,6 @@ class KappaProblem:
             raise ParameterError("epsilon must be finite and nonnegative")
         if self.epsilon == 0.0 and (self.iterations > 0 or self.restarts > 1):
             raise ParameterError("epsilon = 0 leaves no room for perturbations")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
 
 
 @dataclass

@@ -435,7 +435,8 @@ polar.h_steps = 32
                                   "cross-check-grid_origin-nan", "eval-delta-1e308",
                                   "kappa-epsilon-1e308", "eval-polar-p-1e308",
                                   "sweep-domain.hi-1e308", "cross-check-budget-nan",
-                                  "cross-check-budget-negative"])
+                                  "cross-check-budget-negative", "eval-polar-sine-delta-1e308",
+                                  "eval-grid_n-1e308", "eval-grid_n-1e17"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN epsilon disables the search, a NaN indicator threshold gives
@@ -446,7 +447,9 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # bounded-domain form.  A NaN step jump printed a value, a non-finite
     # sine frequency or bound, a NaN grid origin and an overflowing value
     # (Python's float ** raises) ended as internal errors, a NaN or negative
-    # budget gave a FAIL verdict
+    # budget gave a FAIL verdict.  A NaN shifted value of u counted as 0 in
+    # the polar sum, and a grid_n whose cells numpy cannot allocate (sizes no
+    # machine holds, refused at once) ended as an internal error
     lattice = tmp_path / "tent.csv"
     x = np.linspace(-1.0, 1.0, 33)
     np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(x)).reshape(1, -1), delimiter=",")
@@ -557,6 +560,16 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                    "key 'cross.budget' must be finite and nonnegative"),
         "cross-check-budget-negative": ("cross-check", CROSS_SINE + "cross.budget = -5\n",
                                         "key 'cross.budget' must be finite and nonnegative"),
+        "eval-polar-sine-delta-1e308": ("eval", "kernel.shape = indicator\n"
+                                                "kernel.normalize = true\nfunction.kind = sine\n"
+                                                "domain.flavor = whole-space\n"
+                                                "domain.padding = 1e300\np = 2\n"
+                                                "delta = 1e308\ngrid_n = 256\nscheme = polar\n",
+                                        "u is not finite at a shifted point"),
+        "eval-grid_n-1e308": ("eval", AFFINE_EVAL + "grid_n = 1e308\n",
+                              "grid_n is too large: its cells cannot be allocated"),
+        "eval-grid_n-1e17": ("eval", AFFINE_EVAL + "grid_n = 1e17\n",
+                             "grid_n is too large: its cells cannot be allocated"),
     }[case]
     conf = write_config(tmp_path, text)
     seed = ["--seed", "3"] if case.endswith("under-cli-seed") else []
@@ -778,6 +791,18 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError('runner bug')")
     assert "Traceback" in err
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    # an array too large to allocate is the config's doing, not a bug
+    def too_large(cfg, args):
+        raise MemoryError("Unable to allocate 800. TiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "eval", too_large)
+    conf = write_config(tmp_path, AFFINE_EVAL + "grid_n = 256\n")
+    assert cli.main(["eval", "--config", conf, "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 800. TiB\n"
+    assert not list(tmp_path.glob("e.*"))
 
 
 @pytest.mark.parametrize("name, sub, status, header", [

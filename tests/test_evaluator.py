@@ -531,10 +531,11 @@ def _shifted_pointwise(f, pts):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
     # u evaluated point by point at every shifted point, on and off the
-    # support box, equals what the seam returns on its rectangle and is
-    # exactly 0 off it, and gives lambda_polar the same bits.  The seam
-    # returns an array of its rectangle's shape for every group, and under
-    # a 0/1 kernel lambda_polar builds no zero-filled group
+    # support box, equals what the seam returns and gives lambda_polar the
+    # same bits.  Under a 0/1 kernel the seam gets each group's rectangle,
+    # returns an array of its shape, and u is exactly 0 off it; every other
+    # kernel passes rect = None and gets the whole group.  No run builds a
+    # zero-filled group
     if dim == 1:
         f = nl.tent_function(half_width=1.0, height=1.0, padding=2.0, nodes_per_unit=16)
         params = nl.FunctionalParams(p=2.0, delta=0.1, grid_n=512, polar_h_steps=256)
@@ -547,19 +548,20 @@ def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
                                      polar_angle_steps=8)
     assert f.support_box is not None
     shifted = evaluator._polar_eval_shifted
-    sizes = []                  # per group: (rectangle cells, group cells)
+    sizes = []                  # per group: (rect is None, returned cells, group cells)
 
     def pointwise(f_, pts, rect):
         want = _shifted_pointwise(f_, pts)
         got = shifted(f_, pts, rect)
-        assert rect is not None
-        assert got.shape == want[rect].shape
-        assert np.array_equal(got, want[rect])
-        off = want.copy()
-        off[rect] = 0.0
-        assert np.all(off == 0.0)            # +0 and -0 compare equal
-        sizes.append((got.size, want.size))
-        return want[rect]
+        on = want if rect is None else want[rect]
+        assert got.shape == on.shape
+        assert np.array_equal(got, on)
+        if rect is not None:
+            off = want.copy()
+            off[rect] = 0.0
+            assert np.all(off == 0.0)        # +0 and -0 compare equal
+        sizes.append((rect is None, got.size, want.size))
+        return on
 
     zeros = []
     np_zeros = np.zeros
@@ -574,12 +576,16 @@ def test_polar_zero_off_box_bitwise_equal_pointwise(monkeypatch, dim):
         with monkeypatch.context() as mp:
             mp.setattr(np, "zeros", recorded_zeros)
             got = nl.lambda_polar(f, k, params).value
-        assert (zeros == []) == (k.shape == "indicator"), k.shape
+        assert zeros == [], k.shape
         sizes.clear()
         with monkeypatch.context() as mp:
             mp.setattr(evaluator, "_polar_eval_shifted", pointwise)
             assert nl.lambda_polar(f, k, params).value == got, k.shape
-        assert any(0 < r < g for r, g in sizes) and any(r == 0 for r, _ in sizes)
+        if k.shape == "indicator":
+            assert not any(whole for whole, _, _ in sizes)
+            assert any(0 < r < g for _, r, g in sizes) and any(r == 0 for _, r, _ in sizes)
+        else:
+            assert sizes and all(whole for whole, _, _ in sizes)
 
 
 def _polar_dense(f, k, params):

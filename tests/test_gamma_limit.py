@@ -69,6 +69,18 @@ def test_resolution_and_feasibility_errors():
                         epsilon=0.0, iterations=10)
 
 
+@pytest.mark.parametrize("bad", [dict(p=0.5), dict(p=float("nan")), dict(grid_n=8),
+                                 dict(threads=0)])
+def test_kappa_problem_checks_as_functional_params(bad):
+    # p, delta, grid_n and threads are refused with FunctionalParams' message
+    args = dict(p=2.0, delta=0.05, grid_n=1024, threads=1) | bad
+    with pytest.raises(ParameterError) as want:
+        nl.FunctionalParams(**args)
+    with pytest.raises(ParameterError) as got:
+        nl.KappaProblem(kernel=_indicator(), **args)
+    assert str(got.value) == str(want.value)
+
+
 def test_dilation_scaling_of_the_infimum():
     """Affine-profile scaling: objectives on (lam Q, lam-dilated profile)
     at smoothing lam*delta match lam^d times the base objective at delta,
