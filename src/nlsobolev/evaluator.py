@@ -35,10 +35,11 @@ term index space, combined by a fixed-order pairwise tree.  One pair core
 serves the pair sums, the polar scheme and the kappa moves of
 ``gamma_limit``: one lag-weight table (``_lag_weights``), one rule for
 kernel terms on |du| (``_KernelTerms``) and, in 2-D, one blocked lag
-traversal for every kernel.  For the 0/1 kernels (indicator, band) every
-sum is an exact integer count of |du| against cuts precomputed from the
-kernel's edges and delta (no division), equal bit for bit to the division
-form; other kernels sum shape(|du|/delta) in the traversal's fixed order.
+traversal for every kernel.  For the 0/1 kernels c * 1_(lo, hi) every sum
+is an exact integer count of |du| against the cuts that
+``kernels._count_cuts`` precomputes from (lo, hi) and delta (no division),
+equal bit for bit to the division form; other kernels sum
+shape(|du|/delta) in the traversal's fixed order.
 
 One traversal of the cell pairs serves every delta on the same grid: each
 lag's (1-D) or block's (2-D) |du| is computed once, and each delta's
@@ -51,14 +52,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .functions import TestFunction, _reach, _values_on_axes, dilate
-from .kernels import Kernel, _require_delta, _shape_values, bound_constant, growth_constant
+from .kernels import (Kernel, _count_cuts, _require_delta, _shape_values, bound_constant,
+                      growth_constant)
 
 __all__ = [
     "FunctionalParams",
@@ -73,8 +74,6 @@ __all__ = [
 
 _LAG_CHUNK = 128          # lags per reduction chunk
 _BLOCK = 1 << 15          # |du| elements per 2-D counting block
-_CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving up
-_DBL_MAX = sys.float_info.max
 _H_CHUNK = 64             # polar h-steps per reduction chunk
 _H_GROUP = 16             # polar h-steps evaluated at once within a chunk
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}   # |S^(d-1)| with counting measure at d=1
@@ -119,7 +118,6 @@ def _require_grid_n(n: int):
 class EvalResult:
     value: float
     tail_bound: float     # certified bound on the excluded mass; inf when none exists
-    scheme: str
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +131,8 @@ def sample_midpoints(f: TestFunction, n: int):
     ParameterError on a non-finite sample, which no certificate covers.
     """
     axes, spac = _cell_axes(f.domain, n)
-    u = np.asarray(_values_on_axes(f, axes), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite sample is refused
+        u = np.asarray(_values_on_axes(f, axes), dtype=float)
     if not np.all(np.isfinite(u)):
         raise ParameterError("function samples must be finite")
     return u, spac
@@ -178,52 +177,6 @@ def _chunked_sum(terms: np.ndarray, chunk: int) -> float:
 # ----------------------------------------------------------------------
 # kernel terms on |du|: exact counts for the 0/1 kernels
 # ----------------------------------------------------------------------
-
-def _cut(pred, guess: float):
-    """Smallest double a >= 0 with pred(a), searched from ``guess``.
-
-    pred must be monotone in a.  Returns None when the cut lies more
-    than _CUT_STEPS ulps from the guess (or pred holds nowhere), so the
-    caller falls back to the division form instead of searching on.
-    """
-    a = min(guess, _DBL_MAX)      # an infinite guess starts at the largest double
-    if not a >= 0.0:
-        return None
-    if pred(a):
-        for _ in range(_CUT_STEPS):
-            below = math.nextafter(a, 0.0)
-            if a == 0.0 or not pred(below):
-                return a
-            a = below
-    else:
-        for _ in range(_CUT_STEPS):
-            a = math.nextafter(a, math.inf)
-            if pred(a):
-                return a
-    return None
-
-
-def _count_cuts(k: Kernel, delta: float):
-    """Cuts (lo, hi) on |du| with shape(fl(|du| / delta)) == 1  <=>  lo <= |du| < hi.
-
-    Defined for the 0/1 kernels; hi is None for the indicator, which has
-    no upper edge (an overflowing |du| = inf still counts, as inf/delta
-    exceeds the threshold).  Correctly rounded division is monotone in
-    |du|, so each cut is the first double past an edge and lies within a
-    few ulps of edge*delta.  None for any other kernel, a non-finite
-    delta or a cut the search does not reach: those use the division form.
-    """
-    if k.shape not in ("indicator", "band") or not 0.0 < delta < math.inf:
-        return None
-    low = k.threshold if k.shape == "indicator" else k.lo
-    lo = _cut(lambda a: a / delta > low, min(low, _DBL_MAX) * delta)
-    if lo is None:
-        return None
-    if k.shape == "indicator":
-        return lo, None
-    hi = _cut(lambda a: a / delta >= k.hi, min(k.hi, _DBL_MAX) * delta)
-    return None if hi is None else (lo, hi)
-
 
 class _KernelTerms:
     """shape(a / delta) on arrays a of |du| values: the one rule every sum uses.
@@ -282,7 +235,10 @@ def _lag_weights(shape, spacings, p: float) -> np.ndarray:
     if len(shape) == 1:
         (n,), (h,) = shape, spacings
         w = np.zeros(n)
-        w[1:] = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
+        # a weight past the largest double is inf (or 0 * inf = nan): every
+        # sum that reads it is then non-finite, and refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[1:] = 2.0 * (np.arange(1, n) * h) ** (-(p + 1.0)) * (h * h)
         return w
     (n0, n1), (hx, hy) = shape, spacings
     cell2 = (hx * hy) ** 2
@@ -379,7 +335,7 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta,
     for d in deltas:
         _require_delta(d)
     terms = [_KernelTerms(k, d) for d in deltas]
-    with np.errstate(over="ignore"):     # an overflow is refused below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite sum is refused below
         if u.ndim == 1:
             raw = _pair_raw_1d(u, spacings[0], terms, p)
         else:
@@ -460,8 +416,7 @@ def _lambda_pair_deltas(f: TestFunction, k: Kernel,
     lip = _sampled_lipschitz(u, spac)
     return [EvalResult(value=value,
                        tail_bound=_window_bound(f, k, p, q.delta)
-                       + _diagonal_bound(k, p, q.delta, lip, f.domain.window_volume, spac),
-                       scheme="pair")
+                       + _diagonal_bound(k, p, q.delta, lip, f.domain.window_volume, spac))
             for q, value in zip(params, values)]
 
 
@@ -597,7 +552,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         tail += b_sup * dom.volume * surf * (delta / dom.padding) ** p / p
     else:
         tail = math.inf
-    return EvalResult(value=value, tail_bound=tail, scheme="polar")
+    return EvalResult(value=value, tail_bound=tail)
 
 
 # ----------------------------------------------------------------------

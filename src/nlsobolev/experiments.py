@@ -271,15 +271,25 @@ def write_meta(metadata: dict, path):
     if wall is not None:
         meta["wall_time_s"] = wall
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, default=_json_default)
+        json.dump(_strict_json(meta), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _strict_json(obj):
+    """obj with numpy scalars and arrays as Python values, and every
+    non-finite float as the string "inf", "-inf" or "nan": strict JSON.
+
+    json never hands a float (np.float64 included) to a ``default`` hook,
+    so the non-finite ones are replaced before the dump.
+    """
+    if isinstance(obj, dict):
+        return {key: _strict_json(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _strict_json(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj

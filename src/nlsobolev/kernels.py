@@ -20,24 +20,25 @@ where gamma(d, p) = int_{S^(d-1)} |sigma . e|^p dsigma.  The calibration
 makes the small-delta limit of the rescaled functional equal the Sobolev
 energy int |grad u|^p, with no extra constant.
 
-Supported shapes: ``indicator`` (step up at a threshold), ``band``
-(supported on an interval, the standard non-monotone counterexample),
-``envelope`` (a * t^(p+1) rising into a constant plateau, the canonical
-non-decreasing majorant), ``power-cutoff`` (pure power capped at a
-cutoff) and ``tabulated`` (piecewise linear between knots with a
-constant right extension).
+Supported shapes: the 0/1 kernels c * 1_(lo, hi), which are ``indicator``
+(hi = inf, a step up at the threshold lo) and ``band`` (with a finite hi,
+the standard non-monotone counterexample); ``envelope`` (a * t^(p+1)
+rising into a constant plateau, the canonical non-decreasing majorant),
+``power-cutoff`` (pure power capped at a cutoff) and ``tabulated``
+(piecewise linear between knots with a constant right extension).
 
-Value conventions at jump points: indicator and band are literal
-indicators of open intervals (value 0 at their endpoints); the envelope
-takes its plateau value at the crossover; tabulated kernels take the
-right limit at duplicated knots.  All of these are measure-zero choices
-and never affect integrals.
+Value conventions at jump points: the 0/1 kernels are literal indicators
+of open intervals (value 0 at their endpoints; hi = inf is no upper edge,
+so phi(inf) = c); the envelope takes its plateau value at the crossover;
+tabulated kernels take the right limit at duplicated knots.  All of these
+are measure-zero choices and never affect integrals.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ __all__ = [
 ]
 
 _SHAPES = ("indicator", "band", "envelope", "power-cutoff", "tabulated")
+_ZERO_ONE = ("indicator", "band")     # c * 1_(lo, hi); the indicator's hi is inf
+_CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving up
+_DBL_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,8 @@ class Kernel:
 
     shape: str
     scale_c: float = 1.0
-    threshold: float = 1.0          # indicator
-    lo: float = 1.0                 # band support (lo, hi)
-    hi: float = 2.0
+    lo: float = 1.0                 # 0/1 support (lo, hi); hi = inf is no upper edge
+    hi: float = math.inf
     env_a: float = 1.0              # envelope coefficients
     env_b: float = 1.0
     exponent: float = 3.0           # power of t in the rising part
@@ -97,15 +100,16 @@ class Kernel:
     def monotone(self) -> bool:
         """phi is non-decreasing on [0, inf); phi = 0 when the scale is 0.
 
-        Indicator and power-cutoff always are, band never is (it drops
-        back to 0 at hi), the envelope is when its rise ends below the
-        plateau (a <= b), and a tabulated kernel is when its knot values
-        are, since each value is attained or is a one-sided limit.
+        Power-cutoff always is, a 0/1 kernel is exactly when it has no
+        upper edge (hi = inf; otherwise it drops back to 0 at hi), the
+        envelope is when its rise ends below the plateau (a <= b), and a
+        tabulated kernel is when its knot values are, since each value is
+        attained or is a one-sided limit.
         """
-        if self.scale_c == 0 or self.shape in ("indicator", "power-cutoff"):
+        if self.scale_c == 0 or self.shape == "power-cutoff":
             return True
-        if self.shape == "band":
-            return False
+        if self.shape in _ZERO_ONE:
+            return self.hi == math.inf
         if self.shape == "envelope":
             return self.env_a <= self.env_b
         return all(v0 <= v1 for v0, v1 in zip(self.values, self.values[1:]))
@@ -114,7 +118,7 @@ class Kernel:
         """Plain-dict summary for report metadata."""
         d = {"shape": self.shape, "scale_c": self.scale_c, "monotone": self.monotone}
         if self.shape == "indicator":
-            d["threshold"] = self.threshold
+            d["threshold"] = self.lo
         elif self.shape == "band":
             d["lo"], d["hi"] = self.lo, self.hi
         elif self.shape == "envelope":
@@ -134,11 +138,11 @@ def indicator_kernel(c: float = 1.0, threshold: float = 1.0) -> Kernel:
     """c * 1_(threshold, inf): zero up to the threshold, constant above."""
     if not threshold > 0:
         raise ParameterError("indicator threshold must be positive")
-    return Kernel("indicator", scale_c=c, threshold=threshold)
+    return Kernel("indicator", scale_c=c, lo=threshold, hi=math.inf)
 
 
 def band_kernel(lo: float = 1.0, hi: float = 2.0, c: float = 1.0) -> Kernel:
-    """c * 1_(lo, hi): supported on an interval, hence not monotone."""
+    """c * 1_(lo, hi): not monotone unless hi = inf, the indicator's phi."""
     if not (0 < lo < hi):
         raise ParameterError("band requires 0 < lo < hi")
     return Kernel("band", scale_c=c, lo=lo, hi=hi)
@@ -235,15 +239,59 @@ def _tabulated_values(k: Kernel, t: np.ndarray) -> np.ndarray:
 
 def _shape_values(k: Kernel, t: np.ndarray) -> np.ndarray:
     """Dimensionless shape value (without the scale factor)."""
-    if k.shape == "indicator":
-        return (t > k.threshold).astype(float)
-    if k.shape == "band":
-        return ((t > k.lo) & (t < k.hi)).astype(float)
+    if k.shape in _ZERO_ONE:
+        inside = t > k.lo
+        return (inside if k.hi == math.inf else inside & (t < k.hi)).astype(float)
     if k.shape == "envelope":
         return np.where(t < 1.0, k.env_a * t ** k.exponent, k.env_b)
     if k.shape == "power-cutoff":
         return np.minimum(t, k.cutoff) ** k.exponent
     return _tabulated_values(k, t)
+
+
+def _cut(pred, guess: float):
+    """Smallest double a >= 0 with pred(a), searched from ``guess``.
+
+    pred must be monotone in a.  Returns None when the cut lies more
+    than _CUT_STEPS ulps from the guess (or pred holds nowhere), so the
+    caller falls back to the division form instead of searching on.
+    """
+    a = min(guess, _DBL_MAX)      # an infinite guess starts at the largest double
+    if not a >= 0.0:
+        return None
+    if pred(a):
+        for _ in range(_CUT_STEPS):
+            below = math.nextafter(a, 0.0)
+            if a == 0.0 or not pred(below):
+                return a
+            a = below
+    else:
+        for _ in range(_CUT_STEPS):
+            a = math.nextafter(a, math.inf)
+            if pred(a):
+                return a
+    return None
+
+
+def _count_cuts(k: Kernel, delta: float):
+    """Cuts (lo, hi) on |du| with shape(fl(|du| / delta)) == 1  <=>  lo <= |du| < hi.
+
+    Defined for the 0/1 kernels c * 1_(lo, hi); the cut hi is None when
+    the kernel has no upper edge (hi = inf), so an overflowing |du| / delta
+    = inf still counts.  Correctly rounded division is monotone in |du|,
+    so each cut is the first double past an edge and lies within a few
+    ulps of edge*delta.  None for any other kernel, a non-finite delta or
+    a cut the search does not reach: those use the division form.
+    """
+    if k.shape not in _ZERO_ONE or not 0.0 < delta < math.inf:
+        return None
+    lo = _cut(lambda a: a / delta > k.lo, k.lo * delta)
+    if lo is None:
+        return None
+    if k.hi == math.inf:
+        return lo, None
+    hi = _cut(lambda a: a / delta >= k.hi, k.hi * delta)
+    return None if hi is None else (lo, hi)
 
 
 def eval_kernel(k: Kernel, t):
@@ -282,9 +330,7 @@ def growth_constant(k: Kernel, p: float) -> float:
     if c == 0:
         return 0.0
     q = p + 1.0
-    if k.shape == "indicator":
-        return 0.0 if k.threshold >= 1.0 else c * k.threshold ** (-q)
-    if k.shape == "band":
+    if k.shape in _ZERO_ONE:
         return 0.0 if k.lo >= 1.0 else c * k.lo ** (-q)
     if k.shape == "envelope":
         # shape = a t^e on [0,1): ratio a t^(e-q) is monotone in t
@@ -335,7 +381,7 @@ def _tabulated_growth(k: Kernel, q: float) -> float:
 def bound_constant(k: Kernel) -> float:
     """Exact sup of phi over [0, inf)."""
     c = k.scale_c
-    if k.shape == "indicator" or k.shape == "band":
+    if k.shape in _ZERO_ONE:
         return c
     if k.shape == "envelope":
         return c * max(k.env_a, k.env_b)
@@ -380,9 +426,7 @@ def normalization_integral(k: Kernel, p: float) -> float:
     c = k.scale_c
     if c == 0:
         return 0.0
-    if k.shape == "indicator":
-        return c * k.threshold ** (-p) / p
-    if k.shape == "band":
+    if k.shape in _ZERO_ONE:      # hi = inf: inf ** -p is 0.0, the indicator's lo^-p / p
         return c * (k.lo ** (-p) - k.hi ** (-p)) / p
     if k.shape == "envelope":
         e = k.exponent

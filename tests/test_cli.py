@@ -105,6 +105,16 @@ def test_validate_kernel_indicator_passes(tmp_path):
     assert "PASS" in res.stdout
 
 
+def test_validate_kernel_band_without_upper_edge_is_the_indicator(tmp_path, capsys):
+    # band(1, inf) is the indicator's phi, so it passes with the indicator's report
+    for name, lines in (("ind", "kernel.shape = indicator\n"),
+                        ("band", "kernel.shape = band\nkernel.lo = 1\nkernel.hi = inf\n")):
+        conf = write_config(tmp_path, lines + "kernel.normalize = true\np = 2\n", name + ".conf")
+        assert cli.main(["validate-kernel", "--config", conf, "--out", str(tmp_path / name)]) == 0
+        assert "PASS" in capsys.readouterr().out
+    assert (tmp_path / "band.csv").read_bytes() == (tmp_path / "ind.csv").read_bytes()
+
+
 def test_missing_config_rejected(tmp_path):
     res = run_cli("sweep", "--config", str(tmp_path / "nope.conf"),
                   "--out", str(tmp_path / "v"))
@@ -334,9 +344,7 @@ kappa.restarts = 2
     assert (tmp_path / "cli0.csv").read_bytes() != (tmp_path / "cfg7.csv").read_bytes()
 
 
-def test_cross_check_fails_on_infinite_certificate(tmp_path):
-    # the growth bound cannot cover a jump, so both schemes' tails are infinite
-    conf = write_config(tmp_path, """
+STEP_CROSS = """
 kernel.shape = power-cutoff
 kernel.exponent = 3.0
 kernel.cutoff = 1.0
@@ -348,13 +356,38 @@ delta = 0.2
 grid_n = 256
 polar.h_steps = 64
 cross.budget = 1.0
-""")
+"""
+
+
+def test_cross_check_fails_on_infinite_certificate(tmp_path):
+    # the growth bound cannot cover a jump, so both schemes' tails are infinite
+    conf = write_config(tmp_path, STEP_CROSS)
     out = str(tmp_path / "x")
     res = run_cli("cross-check", "--config", conf, "--out", out)
     assert res.returncode == 1, res.stderr
     assert "FAIL" in res.stdout
     with open(out + ".csv") as fh:
         assert list(csv.DictReader(fh))[0]["combined_tail"] == "inf-flag"
+
+
+def _refuse_token(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("sub, text, path, value", [
+    ("validate-kernel", "kernel.shape = power-cutoff\nkernel.cutoff = inf\n",
+     ("kernel", "cutoff"), "inf"),
+    ("cross-check", STEP_CROSS, ("tail_over_value",), ["inf"]),
+], ids=["cutoff", "tail_over_value"])
+def test_meta_json_is_strict_json(tmp_path, capsys, sub, text, path, value):
+    # a non-finite float goes to meta.json as the string "inf", "-inf" or "nan",
+    # never as the Infinity or NaN that strict JSON readers refuse
+    out = str(tmp_path / "m")
+    assert cli.main([sub, "--config", write_config(tmp_path, text), "--out", out]) == 1
+    meta = json.loads((tmp_path / "m.meta.json").read_text(), parse_constant=_refuse_token)
+    for key in path:
+        meta = meta[key]
+    assert meta == value
 
 
 AFFINE_EVAL = """

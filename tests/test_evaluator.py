@@ -344,12 +344,16 @@ def test_count_cuts_band_defining_property(lo_edge, width, delta, open_top):
     hi_edge = math.inf if open_top else lo_edge * width
     assume(hi_edge > lo_edge)
     cuts = evaluator._count_cuts(nl.band_kernel(lo_edge, hi_edge), delta)
-    if _normal(lo_edge, hi_edge, delta, lo_edge * delta, hi_edge * delta):
+    edges = (lo_edge, delta, lo_edge * delta) + (() if open_top else (hi_edge, hi_edge * delta))
+    if _normal(*edges):
         assert cuts is not None
     if cuts is not None:
         lo, hi = cuts
         assert _is_cut(lo, lambda a: a / delta > lo_edge)
-        assert _is_cut(hi, lambda a: a / delta >= hi_edge)
+        if open_top:            # no upper edge, as for the indicator
+            assert hi is None
+        else:
+            assert _is_cut(hi, lambda a: a / delta >= hi_edge)
 
 
 def test_count_cuts_terminate_on_non_finite_edges_and_deltas():
@@ -357,10 +361,39 @@ def test_count_cuts_terminate_on_non_finite_edges_and_deltas():
     for delta in (math.nan, math.inf, -1.0, 0.0):
         assert evaluator._count_cuts(nl.indicator_kernel(), delta) is None
     assert evaluator._count_cuts(nl.indicator_kernel(threshold=math.inf), 0.5) is None
-    assert evaluator._count_cuts(nl.band_kernel(1.0, math.inf), 2.0)[1] == math.inf
-    lo, hi = evaluator._count_cuts(nl.band_kernel(1.0, math.inf), 0.5)
-    assert hi / 0.5 == math.inf and math.nextafter(hi, 0.0) / 0.5 < math.inf
+    for delta in (2.0, 0.5):    # hi = inf is no upper edge: the indicator's cuts
+        cuts = evaluator._count_cuts(nl.band_kernel(1.0, math.inf), delta)
+        assert cuts == (math.nextafter(delta, math.inf), None)
+        assert cuts == evaluator._count_cuts(nl.indicator_kernel(), delta)
     assert evaluator._count_cuts(nl.envelope_kernel(0.8, 1.1, 2.0), 0.5) is None
+
+
+@pytest.mark.parametrize("lo", [0.7, 1.0, 1.5])
+def test_band_without_upper_edge_is_the_indicator(lo):
+    # band(lo, inf) is the indicator's phi: every sum, move and verdict has the
+    # indicator's bits, also where |du| / delta overflows to inf, in either form
+    band, ind = nl.band_kernel(lo, math.inf), nl.indicator_kernel(threshold=lo)
+    assert nl.eval_kernel(band, math.inf) == nl.eval_kernel(ind, math.inf) == 1.0
+    for d in (1, 2):
+        assert nl.validate(band, 2.0, d) == nl.validate(ind, 2.0, d)
+    u = np.array([0.0, 1e308, -1e308, 0.5])        # |du| = inf on one pair
+    for samples, spac in ((u, (0.1,)), (u.reshape(2, 2), (0.1, 0.2))):
+        for form in (pair_sum_on_samples, lambda *a: _division_form(pair_sum_on_samples, *a)):
+            assert form(samples, spac, band, 2.0, 0.5) == form(samples, spac, ind, 2.0, 0.5)
+    if lo == 1.0:
+        assert pair_sum_on_samples(u, (0.1,), band, 2.0, 0.5) == 16.25
+
+    # a whole-space tent so steep that |du| / delta passes the largest double
+    band, ind = nl.normalize(band, 1, 2.0), nl.normalize(ind, 1, 2.0)
+    tent = nl.tent_function(half_width=1.0, height=1e305, padding=2.0, nodes_per_unit=16)
+    params = nl.FunctionalParams(p=2.0, delta=1e-5, grid_n=256, polar_h_min=1e-3,
+                                 polar_h_max=1e4, polar_h_steps=64)
+    for scheme in (nl.lambda_pair, nl.lambda_polar):
+        got = scheme(tent, band, params)
+        assert got == scheme(tent, ind, params) and got.value > 0.0
+    v, spac = sample_midpoints(tent, params.grid_n)
+    assert (_move_gains(v, spac, band, 2.0, params.delta, 1e305)
+            == _move_gains(v, spac, ind, 2.0, params.delta, 1e305))
 
 
 # ----------------------------------------------------------------------

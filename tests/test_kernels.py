@@ -283,7 +283,8 @@ def _any_kernel(draw):
         return nl.indicator_kernel(c, draw(st.floats(0.05, 5.0)))
     if shape == "band":
         lo = draw(st.floats(0.05, 4.0))
-        return nl.band_kernel(lo, lo + draw(st.floats(0.01, 3.0)), c)
+        width = draw(st.one_of(st.floats(0.01, 3.0), st.just(math.inf)))  # inf: no upper edge
+        return nl.band_kernel(lo, lo + width, c)
     if shape == "envelope":
         return nl.envelope_kernel(draw(_HALVES), draw(_HALVES), draw(st.floats(1.1, 4.0)), c)
     if shape == "power-cutoff":
@@ -297,10 +298,8 @@ def _any_kernel(draw):
 
 
 def _sampled_monotone(k) -> bool:
-    """phi non-decreasing on a dense grid plus both sides of every edge a shape has."""
-    edges = [k.threshold, k.lo, k.hi, 1.0, *k.knots]
-    if math.isfinite(k.cutoff):
-        edges.append(k.cutoff)
+    """phi non-decreasing on a dense grid plus both sides of every finite edge a shape has."""
+    edges = [e for e in (k.lo, k.hi, k.cutoff, 1.0, *k.knots) if math.isfinite(e)]
     top = 2.0 * max(edges) + 1.0
     t = np.concatenate([np.linspace(0.0, top, 4001), np.geomspace(1e-9, top, 500),
                         *([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
