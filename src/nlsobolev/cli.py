@@ -250,12 +250,12 @@ def _deltas(cfg: dict, default=None) -> list[float]:
     return deltas
 
 
-def _settings(cfg: dict) -> dict:
-    """The FunctionalParams fields a config sets: grid_n, polar.*."""
+def _settings(cfg: dict, polar: bool) -> dict:
+    """The FunctionalParams fields a config sets: grid_n, and polar.* if ``polar``."""
     out = {"grid_n": _get_int(cfg, "grid_n", 1024)}
     for key, get in (("polar.h_min", _get_float), ("polar.h_max", _get_float),
                      ("polar.h_steps", _get_int), ("polar.angle_steps", _get_int)):
-        if key in cfg:
+        if polar and key in cfg:
             out[key.replace(".", "_")] = get(cfg, key)
     return out
 
@@ -287,8 +287,9 @@ def _run_validate_kernel(cfg, args):
 def _run_eval(cfg, args):
     p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
-    params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"), **_settings(cfg))
     scheme = cfg.get("scheme", "pair")
+    params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"),
+                              **_settings(cfg, scheme == "polar"))
     cfg.refuse_unread(args.subcommand)
     [row] = experiments._sweep_rows(f, k, [params], scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
@@ -300,7 +301,7 @@ def _run_sweep(cfg, args):
     p, d, k = _kernel(cfg)
     f = build_function(cfg, d)
     scheme = cfg.get("scheme", "pair")
-    deltas, settings = _get_list(cfg, "delta_list"), _settings(cfg)
+    deltas, settings = _get_list(cfg, "delta_list"), _settings(cfg, scheme == "polar")
     cfg.refuse_unread(args.subcommand)
     report = experiments.delta_sweep(f, k, p, deltas, scheme=scheme, **settings)
     experiments.write_sweep_csv(report, args.out + ".csv")
@@ -358,7 +359,7 @@ def _run_cross_check(cfg, args):
     budget = _get_float(cfg, "cross.budget", 0.02)
     if not 0.0 <= budget < math.inf:
         raise ConfigError("key 'cross.budget' must be finite and nonnegative")
-    settings = _settings(cfg)
+    settings = _settings(cfg, True)
     cfg.refuse_unread(args.subcommand)
     _require_whole_space(f.domain)       # refused before any pair traversal
     params = [FunctionalParams(p=p, delta=delta, **settings) for delta in deltas]

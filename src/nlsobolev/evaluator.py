@@ -37,9 +37,9 @@ serves the pair sums, the polar scheme and the kappa moves of
 kernel terms on |du| (``_KernelTerms``) and, in 2-D, one blocked lag
 traversal for every kernel.  For the 0/1 kernels c * 1_(lo, hi) every sum
 is an exact integer count of |du| against the cuts that
-``kernels._count_cuts`` precomputes from (lo, hi) and delta (no division),
-equal bit for bit to the division form; other kernels sum
-shape(|du|/delta) in the traversal's fixed order.
+``kernels._count_cuts`` precomputes from (lo, hi) and delta (no division)
+for every finite edge, equal bit for bit to the division form; other
+kernels sum shape(|du|/delta) in the traversal's fixed order.
 
 One traversal of the cell pairs serves every delta on the same grid: each
 lag's (1-D) or block's (2-D) |du| is computed once, and each delta's
@@ -181,9 +181,9 @@ def _chunked_sum(terms: np.ndarray, chunk: int) -> float:
 class _KernelTerms:
     """shape(a / delta) on arrays a of |du| values: the one rule every sum uses.
 
-    The 0/1 kernels count a in [lo, hi), the cuts of ``_count_cuts``;
-    every other kernel, and a 0/1 kernel whose cuts the search missed,
-    takes the division form.  Both forms give the same bits.
+    The 0/1 kernels count a in [lo, hi), the cuts of ``_count_cuts``, which
+    exist for every finite edge; every other kernel takes the division form,
+    written once in ``values``.  Both forms give the same bits.
     """
 
     def __init__(self, k: Kernel, delta: float):
@@ -199,14 +199,16 @@ class _KernelTerms:
 
     def values(self, a: np.ndarray) -> np.ndarray:
         """Per-element shape values, as floats."""
-        if self.cuts is None:
+        if self.cuts is not None:
+            return self._inside(a).astype(float)
+        # an inf quotient: a non-finite sum is refused, a non-finite move never taken
+        with np.errstate(over="ignore", invalid="ignore"):
             return _shape_values(self.k, a / self.delta)
-        return self._inside(a).astype(float)
 
     def sum(self, a: np.ndarray, axis=None, mask=None):
         """Sum of the shape values over ``axis``; ``mask`` is a bool scratch buffer."""
         if self.cuts is None:
-            return np.sum(_shape_values(self.k, a / self.delta), axis=axis)
+            return np.sum(self.values(a), axis=axis)
         return np.count_nonzero(self._inside(a, mask), axis=axis)
 
     def difference(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, masks) -> np.ndarray:

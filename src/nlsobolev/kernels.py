@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +66,7 @@ __all__ = [
 
 _SHAPES = ("indicator", "band", "envelope", "power-cutoff", "tabulated")
 _ZERO_ONE = ("indicator", "band")     # c * 1_(lo, hi); the indicator's hi is inf
-_CUT_STEPS = 8            # ulps _count_cuts walks from edge*delta before giving up
-_DBL_MAX = sys.float_info.max
+_INF_BITS = 0x7FF0_0000_0000_0000     # the bit pattern of inf
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,9 @@ class Kernel:
             raise ParameterError(f"unknown kernel shape {self.shape!r}")
         if not 0 <= self.scale_c < math.inf:    # NaN included
             raise ParameterError("kernel scale must be finite and nonnegative")
+        if self.shape in _ZERO_ONE and not (0 < self.lo and (
+                self.lo < self.hi if self.shape == "band" else self.hi == math.inf)):
+            raise ParameterError("a 0/1 kernel requires 0 < lo < hi; an indicator's hi is inf")
 
     @property
     def monotone(self) -> bool:
@@ -249,28 +251,25 @@ def _shape_values(k: Kernel, t: np.ndarray) -> np.ndarray:
     return _tabulated_values(k, t)
 
 
-def _cut(pred, guess: float):
-    """Smallest double a >= 0 with pred(a), searched from ``guess``.
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    pred must be monotone in a.  Returns None when the cut lies more
-    than _CUT_STEPS ulps from the guess (or pred holds nowhere), so the
-    caller falls back to the division form instead of searching on.
+
+def _cut(pred):
+    """Smallest double a in [0, inf] with pred(a); None when pred(inf) fails.
+
+    pred must be monotone in a.  Nonnegative doubles order as their bit
+    patterns, so this bisects the patterns of [0, inf], with pred taken as
+    false below 0 and true past inf: at most 63 calls.
     """
-    a = min(guess, _DBL_MAX)      # an infinite guess starts at the largest double
-    if not a >= 0.0:
-        return None
-    if pred(a):
-        for _ in range(_CUT_STEPS):
-            below = math.nextafter(a, 0.0)
-            if a == 0.0 or not pred(below):
-                return a
-            a = below
-    else:
-        for _ in range(_CUT_STEPS):
-            a = math.nextafter(a, math.inf)
-            if pred(a):
-                return a
-    return None
+    below, above = -1, _INF_BITS + 1
+    while above - below > 1:
+        mid = (below + above) // 2
+        if pred(_double(mid)):
+            above = mid
+        else:
+            below = mid
+    return None if above > _INF_BITS else _double(above)
 
 
 def _count_cuts(k: Kernel, delta: float):
@@ -279,19 +278,15 @@ def _count_cuts(k: Kernel, delta: float):
     Defined for the 0/1 kernels c * 1_(lo, hi); the cut hi is None when
     the kernel has no upper edge (hi = inf), so an overflowing |du| / delta
     = inf still counts.  Correctly rounded division is monotone in |du|,
-    so each cut is the first double past an edge and lies within a few
-    ulps of edge*delta.  None for any other kernel, a non-finite delta or
-    a cut the search does not reach: those use the division form.
+    so each cut is the smallest double past its edge, and ``_cut`` finds
+    it for every edge and delta.  None for any other kernel, a delta that
+    is not finite and positive, or an edge no double passes (lo = inf).
     """
     if k.shape not in _ZERO_ONE or not 0.0 < delta < math.inf:
         return None
-    lo = _cut(lambda a: a / delta > k.lo, k.lo * delta)
-    if lo is None:
-        return None
-    if k.hi == math.inf:
-        return lo, None
-    hi = _cut(lambda a: a / delta >= k.hi, k.hi * delta)
-    return None if hi is None else (lo, hi)
+    lo = _cut(lambda a: a / delta > k.lo)
+    hi = None if k.hi == math.inf else _cut(lambda a: a / delta >= k.hi)
+    return None if lo is None else (lo, hi)
 
 
 def eval_kernel(k: Kernel, t):

@@ -716,6 +716,28 @@ def test_unknown_key_rejected(tmp_path, capsys):
             assert not list(tmp_path.glob("e.*")), sub
 
 
+def test_pair_runs_refuse_polar_keys(tmp_path, capsys):
+    # only the polar scheme reads polar.*: under the pair scheme they would be
+    # dropped unseen, so a pair eval or sweep refuses them
+    polar = "polar.h_steps = 12345\npolar.angle_steps = 7\n"
+    for sub, text in [("sweep", SWEEP_CONF), ("eval", AFFINE_EVAL + "grid_n = 256\n"),
+                      ("eval", AFFINE_EVAL + "grid_n = 256\nscheme = pair\n")]:
+        conf, line = write_config(tmp_path, text + polar), text.count("\n") + 1
+        assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"line {line}: key 'polar.h_steps' is not read by {sub} with this config" in err
+        assert not list(tmp_path.glob("e.*"))
+    # the polar scheme reads them; an unknown scheme still exits 2
+    sweep = CROSS_SINE.replace("delta = 0.1", "delta_list = 0.2, 0.1")
+    for sub, text, status in [("eval", CROSS_SINE + "scheme = polar\n", 0),
+                              ("sweep", sweep + "scheme = polar\n", 0),
+                              ("eval", CROSS_SINE + "scheme = bogus\n", 2),
+                              ("eval", AFFINE_EVAL + "grid_n = 256\nscheme = bogus\n", 2)]:
+        conf = write_config(tmp_path, text)
+        assert cli.main([sub, "--config", conf, "--out", str(tmp_path / "e")]) == status
+
+
 def test_cross_check_refuses_bounded_domain_before_evaluating(tmp_path, monkeypatch, capsys):
     # a bounded domain is refused before the pair traversal starts
     def traversal(*args):
@@ -796,7 +818,7 @@ def test_sweep_and_cross_check_rows_are_eval_rows(tmp_path, shape, dim):
             f"function.grid_file = {tmp_path / 'u.csv'}\nfunction.grid_spacing = 0.125\n"
             f"function.grid_origin = {', '.join(['-1'] * dim)}\n"
             f"domain.flavor = whole-space\ndomain.padding = 0.5\nd = {dim}\n"
-            f"grid_n = {n}\npolar.h_steps = 16\npolar.angle_steps = 8\n")
+            f"grid_n = {n}\n")
 
     def run(sub, extra):
         out = str(tmp_path / sub)
@@ -806,7 +828,8 @@ def test_sweep_and_cross_check_rows_are_eval_rows(tmp_path, shape, dim):
         return (tmp_path / f"{sub}.csv").read_text().splitlines()[1:]
 
     sweep = run("sweep", f"delta_list = {deltas}\n")
-    cross = run("cross-check", f"delta_list = {deltas}\n")
+    cross = run("cross-check", f"delta_list = {deltas}\npolar.h_steps = 16\n"
+                "polar.angle_steps = 8\n")
     assert len(sweep) == len(cross) == len(deltas.split(","))
     for delta, sweep_row, cross_row in zip(deltas.split(","), sweep, cross):
         [eval_row] = run("eval", f"delta = {delta}\n")

@@ -321,20 +321,13 @@ def _is_cut(a, pred):
     return pred(a) and (a == 0.0 or not pred(math.nextafter(a, 0.0)))
 
 
-def _normal(*xs):
-    return all(2.3e-308 < x < 1e307 for x in xs)
-
-
 @settings(max_examples=400, deadline=None)
 @given(threshold=_EDGES, delta=_DELTAS)
 def test_count_cuts_indicator_defining_property(threshold, delta):
-    cuts = evaluator._count_cuts(nl.indicator_kernel(threshold=threshold), delta)
-    if _normal(threshold, delta, threshold * delta):
-        assert cuts is not None
-    if cuts is not None:
-        lo, hi = cuts
-        assert hi is None
-        assert _is_cut(lo, lambda a: a / delta > threshold)
+    # the cut exists for every finite positive edge and delta, subnormal ones too
+    lo, hi = evaluator._count_cuts(nl.indicator_kernel(threshold=threshold), delta)
+    assert hi is None
+    assert _is_cut(lo, lambda a: a / delta > threshold)
 
 
 @settings(max_examples=400, deadline=None)
@@ -343,21 +336,32 @@ def test_count_cuts_indicator_defining_property(threshold, delta):
 def test_count_cuts_band_defining_property(lo_edge, width, delta, open_top):
     hi_edge = math.inf if open_top else lo_edge * width
     assume(hi_edge > lo_edge)
-    cuts = evaluator._count_cuts(nl.band_kernel(lo_edge, hi_edge), delta)
-    edges = (lo_edge, delta, lo_edge * delta) + (() if open_top else (hi_edge, hi_edge * delta))
-    if _normal(*edges):
-        assert cuts is not None
-    if cuts is not None:
-        lo, hi = cuts
-        assert _is_cut(lo, lambda a: a / delta > lo_edge)
-        if open_top:            # no upper edge, as for the indicator
-            assert hi is None
-        else:
-            assert _is_cut(hi, lambda a: a / delta >= hi_edge)
+    lo, hi = evaluator._count_cuts(nl.band_kernel(lo_edge, hi_edge), delta)
+    assert _is_cut(lo, lambda a: a / delta > lo_edge)
+    if open_top:            # no upper edge, as for the indicator
+        assert hi is None
+    else:
+        assert _is_cut(hi, lambda a: a / delta >= hi_edge)
+
+
+@pytest.mark.parametrize("threshold, delta", [(2.9522927e-317, 17.05),
+                                              (7.869994642e-314, 2.58e81)])
+def test_count_cuts_on_subnormal_edges_count_as_the_division_form(threshold, delta):
+    # a subnormal edge at a large delta: the cut lies far from edge*delta
+    k = nl.indicator_kernel(threshold=threshold)
+    lo, hi = evaluator._count_cuts(k, delta)
+    assert hi is None and _is_cut(lo, lambda a: a / delta > threshold)
+    below = math.nextafter(lo, 0.0)
+    u = np.array([0.0, lo, below, 2.0 * lo, -lo, 0.0])   # |du| at, below and past the cut
+    for samples, spac in ((u, (0.1,)), (u.reshape(2, 3), (0.1, 0.2))):
+        got = pair_sum_on_samples(samples, spac, k, 2.0, delta)
+        assert got > 0.0
+        assert got == _division_form(pair_sum_on_samples, samples, spac, k, 2.0, delta)
 
 
 def test_count_cuts_terminate_on_non_finite_edges_and_deltas():
-    # the cut search ends for every edge and delta; a missing cut means the division form
+    # None only for a delta that is not finite and positive, an edge no
+    # double passes, or a kernel that is not 0/1: those use the division form
     for delta in (math.nan, math.inf, -1.0, 0.0):
         assert evaluator._count_cuts(nl.indicator_kernel(), delta) is None
     assert evaluator._count_cuts(nl.indicator_kernel(threshold=math.inf), 0.5) is None
@@ -394,6 +398,22 @@ def test_band_without_upper_edge_is_the_indicator(lo):
     v, spac = sample_midpoints(tent, params.grid_n)
     assert (_move_gains(v, spac, band, 2.0, params.delta, 1e305)
             == _move_gains(v, spac, ind, 2.0, params.delta, 1e305))
+
+
+def test_division_form_move_past_the_largest_double_is_quiet():
+    # under the envelope, a division-form kernel, |du| / delta passes the
+    # largest double: the move gains stay finite and warn nothing (a
+    # RuntimeWarning fails this suite), and equal the gather reference
+    tent = nl.tent_function(half_width=1.0, height=1e305, padding=2.0, nodes_per_unit=16)
+    v, spac = sample_midpoints(tent, 256)
+    obj = _PairObjective(nl.envelope_kernel(0.8, 1.1, 2.0), 2.0, 1e-5, spac, v.shape)
+    assert obj.terms.cuts is None
+    for where in ((0,), (128,), (255,)):
+        for step in (1e305, -2e305):
+            old, new = v[where], v[where] + step
+            gain = obj.move_delta(v, where, old, new)
+            assert math.isfinite(gain) and gain != 0.0
+            assert gain == _gather_move(obj, v, where, old, new)
 
 
 # ----------------------------------------------------------------------

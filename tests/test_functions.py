@@ -109,6 +109,17 @@ def test_energy_affine_exact():
         assert nl.sobolev_energy(f, p) == pytest.approx(np.linalg.norm(a) ** p * vol, rel=1e-14)
 
 
+def test_energy_affine_past_the_square_of_the_largest_double():
+    # |a|^2 overflows past |a| ~ 1.3e154, |a|^p * vol need not
+    box = nl.bounded_box([0.0], [1.0])
+    for a in (1e200, -1e200):
+        energy = nl.sobolev_energy(nl.affine_function([a], 0.0, box), 1.5)
+        assert energy == pytest.approx(1e300, rel=1e-15)
+    big = nl.affine_function([3e200, 4e200], 0.0, nl.bounded_box([0.0, 0.0], [1.0, 1.0]))
+    assert nl.sobolev_energy(big, 1.0) == pytest.approx(5e200, rel=1e-15)
+    assert nl.sobolev_energy(big, 2.0) == math.inf         # 2.5e401 does overflow
+
+
 def test_energy_cube_profile_is_volume():
     for d in (1, 2):
         for p in (1.5, 2.0, 3.0):

@@ -334,6 +334,31 @@ def test_nan_kernel_parameter_refused(make):
         make()
 
 
+@pytest.mark.parametrize("fields", [
+    dict(shape="indicator", hi=2.0), dict(shape="band", lo=2.0, hi=1.0),
+    dict(shape="band", lo=1.0, hi=1.0), dict(shape="band", lo=0.0, hi=1.0),
+    dict(shape="indicator", lo=-1.0), dict(shape="band", lo=math.nan, hi=2.0),
+    dict(shape="band", lo=1.0, hi=math.nan),
+], ids=["indicator-finite-hi", "band-reversed", "band-empty", "band-lo-0", "indicator-lo-neg",
+        "band-lo-nan", "band-hi-nan"])
+def test_zero_one_kernel_fields_it_cannot_honour_refused(fields):
+    # a 0/1 kernel is c * 1_(lo, hi) with 0 < lo < hi, and the indicator has
+    # no upper edge: anything else would describe or calibrate another kernel
+    with pytest.raises(ParameterError):
+        nl.Kernel(**fields)
+
+
+def test_zero_one_kernel_constructors_keep_their_messages():
+    with pytest.raises(ParameterError, match="indicator threshold must be positive"):
+        nl.indicator_kernel(threshold=0.0)
+    with pytest.raises(ParameterError, match="band requires 0 < lo < hi"):
+        nl.band_kernel(2.0, 1.0)
+    band = nl.band_kernel(1.0, math.inf)         # no upper edge, as for the indicator
+    assert nl.normalize(band, 1, 2.0).hi == math.inf
+    assert nl.normalize(nl.band_kernel(1.0, 2.0), 2, 2.0).lo == 1.0
+    assert nl.indicator_kernel(threshold=math.inf).lo == math.inf   # phi = 0
+
+
 def test_validate_unbounded_power_fails_boundedness():
     k = nl.power_cutoff_kernel(exponent=3.0, cutoff=math.inf)
     rep = nl.validate(k, p=2.0, d=1)
