@@ -291,6 +291,7 @@ def _run_eval(cfg, args):
     params = FunctionalParams(p=p, delta=_get_float(cfg, "delta"),
                               **_settings(cfg, scheme == "polar"))
     cfg.refuse_unread(args.subcommand)
+    experiments._require_resolution(f, params.grid_n, params.delta)
     [row] = experiments._sweep_rows(f, k, [params], scheme, functions.sobolev_energy(f, p))
     experiments.write_sweep_csv(experiments.SweepReport([row]), args.out + ".csv")
     return ({"kernel": k.describe(), "function": f.describe(), "scheme": scheme},

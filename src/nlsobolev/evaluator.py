@@ -45,7 +45,12 @@ One traversal of the cell pairs serves every delta on the same grid: each
 lag's (1-D) or block's (2-D) |du| is computed once, and each delta's
 kernel terms count it into that delta's own per-lag sums, which keep
 their weights and reduction order.  So a delta sweep gets, for every
-delta, the bits of a call with that delta alone.
+delta, the bits of a call with that delta alone.  A monotone 1-D sample
+under 0/1 kernels needs no traversal: each cell counts one run of
+partners, which a bisection on the same cut predicate finds, so the
+per-lag counts are the traversal's integers (``_monotone_lag_counts``)
+and the sums keep their bits.  Every pair sum ends in one contraction of
+its per-lag sums with the lag weights.
 """
 
 from __future__ import annotations
@@ -248,17 +253,14 @@ def _lag_weights(shape, spacings, p: float) -> np.ndarray:
                       if mx or my else 0.0 for my in range(n1)] for mx in range(n0)])
 
 
-def _pair_raw_1d(u: np.ndarray, h: float, terms: list[_KernelTerms], p: float) -> list[float]:
-    """Per kernel terms (one per delta): the sum over ordered cell pairs of
-    shape(|du|/delta) * |dx|^-(p+1) * h^2.
+def _lag_sums_1d(u: np.ndarray, terms: list[_KernelTerms]) -> np.ndarray:
+    """sums[j, m - 1]: sum of shape(|du|/delta) under terms[j] over the pairs at lag m.
 
-    Pairs are grouped by lag; the symmetric factor 2 makes the result
-    equal to the full double sum.  Each lag's |du| is computed once and
-    counted by every delta's terms.  The kernel scale and delta^p are
-    applied by the caller.
+    One traversal of the lags: each lag's |du| is computed once and counted
+    by every delta's terms.
     """
     n = u.size
-    sums = np.empty((len(terms), n - 1))      # sums[j, m - 1]: lag m under terms[j]
+    sums = np.empty((len(terms), n - 1))
     buf = np.empty(n - 1)
     mask = np.empty(n - 1, dtype=bool)
     for m in range(1, n):
@@ -266,7 +268,70 @@ def _pair_raw_1d(u: np.ndarray, h: float, terms: list[_KernelTerms], p: float) -
         np.abs(d, out=d)
         for t, s in zip(terms, sums):
             s[m - 1] = t.sum(d, mask=mask[: n - m])
-    w = _lag_weights((n,), (h,), p)[1:]
+    return sums
+
+
+def _monotone_lag_counts(u: np.ndarray, terms: list[_KernelTerms]):
+    """The lag sums of ``_lag_sums_1d`` for a monotone u under 0/1 kernels, or None.
+
+    For a nondecreasing v and a fixed i, fl(v[j] - v[i]) is nondecreasing in
+    j, so the j that a kernel counts against its cuts [lo, hi) are one run
+    first(lo) <= j < first(hi), where first(c) is the first j with
+    fl(v[j] - v[i]) >= c.  One bisection over every i at once finds each
+    first(c) on that predicate, and two bincounts of j - i and a cumsum give
+    every lag's count: the traversal's integers, so its bits.  A
+    nonincreasing u is negated, which keeps every |du|.  An infinite end
+    keeps the predicate monotone in j: inf - inf is NaN, which fails every
+    cut, and those j come first for v[i] = -inf and last for v[i] = inf.
+    None when a kernel is not 0/1 or u is not a monotone float64 array (a
+    NaN never is).
+    """
+    if u.dtype != np.float64 or any(t.cuts is None for t in terms):
+        return None
+    if np.all(u[1:] >= u[:-1]):
+        v = u
+    elif np.all(u[1:] <= u[:-1]):
+        v = -u
+    else:
+        return None
+    n = v.size
+    i = np.arange(n)
+    steps = [1 << b for b in reversed(range((n - 1).bit_length()))]
+
+    def first(cut):
+        """First j in (i, n] with fl(v[j] - v[i]) >= cut, per i (n when none)."""
+        last = i.copy()                        # last j known below the cut: j = i
+        for step in steps:
+            j = last + step
+            below = j < n
+            below &= ~(v[np.minimum(j, n - 1)] - v >= cut)
+            np.copyto(last, j, where=below)
+        return last + 1
+
+    sums = np.empty((len(terms), n - 1))
+    for t, s in zip(terms, sums):
+        lo, hi = t.cuts
+        upto = n if hi is None else first(hi)
+        starts = np.bincount(first(lo) - i, minlength=n + 1)     # by lag j - i
+        ends = np.bincount(upto - i, minlength=n + 1)
+        s[:] = np.cumsum(starts - ends)[1:n]
+    return sums
+
+
+def _pair_raw_1d(u: np.ndarray, h: float, terms: list[_KernelTerms], p: float) -> list[float]:
+    """Per kernel terms (one per delta): the sum over ordered cell pairs of
+    shape(|du|/delta) * |dx|^-(p+1) * h^2.
+
+    Pairs are grouped by lag, and the per-lag sums come from
+    ``_monotone_lag_counts`` where it applies, otherwise from the traversal
+    ``_lag_sums_1d``; one contraction with the lag weights follows.  The
+    symmetric factor 2 makes the result equal to the full double sum.  The
+    kernel scale and delta^p are applied by the caller.
+    """
+    sums = _monotone_lag_counts(u, terms)
+    if sums is None:
+        sums = _lag_sums_1d(u, terms)
+    w = _lag_weights((u.size,), (h,), p)[1:]
     return [_chunked_sum(w * s, _LAG_CHUNK) for s in sums]
 
 
@@ -323,7 +388,9 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta,
     ``delta`` is one smoothing scale, which returns one value, or a
     sequence of them, which returns one value per delta, in order.  One
     traversal of the cell pairs serves the whole sequence, and each value
-    has the bits of a call with its delta alone.  The sum is serial;
+    has the bits of a call with its delta alone.  A monotone 1-D u
+    under a 0/1 kernel has its per-lag counts found by bisection instead,
+    the same integers in O(n log n), so the same bits.  The sum is serial;
     ``threads`` is validated for callers that pass it.  Every delta is
     checked before the traversal starts, and a ParameterError is raised
     when any sum is not finite.

@@ -469,7 +469,8 @@ polar.h_steps = 32
                                   "kappa-epsilon-1e308", "eval-polar-p-1e308",
                                   "sweep-domain.hi-1e308", "cross-check-budget-nan",
                                   "cross-check-budget-negative", "eval-polar-sine-delta-1e308",
-                                  "eval-grid_n-1e308", "eval-grid_n-1e17"])
+                                  "eval-grid_n-1e308", "eval-grid_n-1e17",
+                                  "eval-grid-too-coarse"])
 def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # each used to hang, blame the wrong input, end in a traceback, or exit 0:
     # a NaN epsilon disables the search, a NaN indicator threshold gives
@@ -482,7 +483,9 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
     # (Python's float ** raises) ended as internal errors, a NaN or negative
     # budget gave a FAIL verdict.  A NaN shifted value of u counted as 0 in
     # the polar sum, and a grid_n whose cells numpy cannot allocate (sizes no
-    # machine holds, refused at once) ended as an internal error
+    # machine holds, refused at once) ended as an internal error.  An eval
+    # on a grid coarser than the resolution rule exited 0 with a value at
+    # 1 % of the truth, where the same sweep exits 2
     lattice = tmp_path / "tent.csv"
     x = np.linspace(-1.0, 1.0, 33)
     np.savetxt(lattice, np.maximum(0.0, 1.0 - np.abs(x)).reshape(1, -1), delimiter=",")
@@ -531,7 +534,7 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                                                   "kernel.cutoff = inf\nfunction.kind = sine\n"
                                                   "domain.flavor = whole-space\n"
                                                   "domain.padding = 0.5\ndelta = 0.1\n"
-                                                  "grid_n = 128\nscheme = polar\n"
+                                                  "grid_n = 160\nscheme = polar\n"
                                                   "polar.h_steps = 32\n",
                                           "non-finite polar sum"),
         "pathology-delta_list-empty": ("pathology", "delta_list =\ngrid_n = 512\n",
@@ -603,6 +606,8 @@ def test_non_finite_delta_and_n_list_exit_2(tmp_path, case):
                               "grid_n is too large: its cells cannot be allocated"),
         "eval-grid_n-1e17": ("eval", AFFINE_EVAL + "grid_n = 1e17\n",
                              "grid_n is too large: its cells cannot be allocated"),
+        "eval-grid-too-coarse": ("eval", AFFINE_EVAL.replace("delta = 0.1", "delta = 0.001")
+                                 + "grid_n = 64\n", "need grid_n >= 8000"),
     }[case]
     conf = write_config(tmp_path, text)
     seed = ["--seed", "3"] if case.endswith("under-cli-seed") else []
@@ -896,14 +901,14 @@ FUZZ_BASES = {
                             "domain.hi = 1, 1\ndelta = 0.5\ngrid_n = 16\n"),
     "eval-sine": ("eval", _FUZZ_KERNEL + _FUZZ_POLAR
                   + "function.kind = sine\nfunction.frequency = 2\nfunction.amplitude = 0.5\n"
-                    "domain.lo = 0\ndomain.hi = 1\ndelta = 0.2\ngrid_n = 64\nscheme = polar\n"),
+                    "domain.lo = 0\ndomain.hi = 1\ndelta = 0.2\ngrid_n = 80\nscheme = polar\n"),
     "eval-step": ("eval", _FUZZ_KERNEL + "function.kind = step\nfunction.jumps = 0.25, 0.5\n"
                           "function.levels = 0, 1, 0\ndomain.lo = 0\ndomain.hi = 1\n"
                           "delta = 0.2\ngrid_n = 64\n"),
     "eval-grid": ("eval", _FUZZ_KERNEL.replace("d = 1", "d = 2") + _FUZZ_POLAR
                   + "function.kind = grid\nfunction.grid_file = {tmp}/bump.csv\n"
                     "function.grid_spacing = 0.25\nfunction.grid_origin = -1, -1\n"
-                    "delta = 0.5\ngrid_n = 16\nscheme = polar\n"),
+                    "delta = 0.5\ngrid_n = 48\nscheme = polar\n"),
     "eval-band": ("eval", "kernel.shape = band\nkernel.lo = 1\nkernel.hi = 2\n" + _FUZZ_AFFINE),
     "eval-envelope": ("eval", "kernel.shape = envelope\nkernel.a = 1\nkernel.b = 1\n"
                       + _FUZZ_AFFINE),

@@ -46,14 +46,22 @@ def _brute_pair_2d(u, hx, hy, k, p, delta):
     return total
 
 
+# monotone with ties (counted by bisection under a 0/1 kernel), and one ulp
+# away from monotone (always the lag traversal)
+_RISING = np.repeat(np.linspace(-1.0, 1.0, 20) ** 3, 2)
+_ONE_ULP_OFF = _RISING.copy()
+_ONE_ULP_OFF[11] = np.nextafter(_ONE_ULP_OFF[10], -np.inf)
+
+
 def test_pair_sum_matches_brute_force_1d():
     rng = np.random.default_rng(10)
-    u = rng.uniform(-1, 1, size=40)
-    for k in (nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)):
-        for p, delta in ((2.0, 0.3), (1.5, 0.7)):
-            got = pair_sum_on_samples(u, (0.1,), k, p, delta)
-            want = _brute_pair_1d(u, 0.1, k, p, delta)
-            assert got == pytest.approx(want, rel=1e-12)
+    for u in (rng.uniform(-1, 1, size=40), _RISING, _RISING[::-1], _ONE_ULP_OFF):
+        for k in (nl.indicator_kernel(), nl.band_kernel(0.5, 2.0),
+                  nl.envelope_kernel(0.8, 1.1, 2.0)):
+            for p, delta in ((2.0, 0.3), (1.5, 0.7)):
+                got = pair_sum_on_samples(u, (0.1,), k, p, delta)
+                want = _brute_pair_1d(u, 0.1, k, p, delta)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_pair_sum_matches_brute_force_2d():
@@ -278,6 +286,78 @@ def test_delta_list_refuses_before_the_traversal_and_on_any_overflow():
                                 ([0.5, -1.0], "delta must be finite"), ([], "empty")):
             with pytest.raises(ParameterError, match=message):
                 pair_sum_on_samples(u, spac, k, 2.0, deltas)
+
+
+# ----------------------------------------------------------------------
+# monotone 1-D samples: lag counts by bisection, the traversal's integers
+# ----------------------------------------------------------------------
+
+def _lag_counts_both_ways(u, terms):
+    with np.errstate(invalid="ignore"):      # inf - inf, as inside pair_sum_on_samples
+        return evaluator._monotone_lag_counts(u, terms), evaluator._lag_sums_1d(u, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=_ZERO_ONE_KERNELS, lattice=_LATTICE, factors=_DELTA_FACTORS,
+       direction=st.sampled_from([1.0, -1.0, 0.0]), on_cuts=st.booleans(),
+       start=st.sampled_from([0.0, 0.7, -3.1, 1e6]),
+       steps=st.lists(st.integers(0, 4), min_size=1, max_size=300))
+def test_monotone_lag_counts_bitwise_equal_the_traversal(k, lattice, factors, direction,
+                                                         on_cuts, start, steps):
+    # rising, falling and constant samples with runs of ties; the steps are
+    # lattice multiples of q (so |du| / delta lands on the edges) or the
+    # cuts themselves and the doubles just below them
+    q, _ = lattice
+    terms = [evaluator._KernelTerms(k, q * f) for f in factors]
+    if on_cuts:
+        cuts = [c for t in terms for c in t.cuts if c is not None]
+        levels = [0.0] + cuts + [math.nextafter(c, 0.0) for c in cuts]
+        rises = [levels[s % len(levels)] for s in steps]
+    else:
+        rises = [s * q for s in steps]
+    u = start + direction * np.cumsum([0.0] + rises)
+    got, want = _lag_counts_both_ways(u, terms)
+    assert got is not None and got.shape == want.shape
+    assert np.array_equal(got, want)
+    deltas = [t.delta for t in terms]
+    counted = pair_sum_on_samples(u, (0.01,), k, 2.0, deltas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_monotone_lag_counts", lambda u, terms: None)
+        assert pair_sum_on_samples(u, (0.01,), k, 2.0, deltas) == counted
+
+
+@pytest.mark.parametrize("k", [nl.indicator_kernel(), nl.band_kernel(1.0, 2.0)])
+def test_monotone_lag_counts_with_infinite_ends(k):
+    # inf - inf is NaN and fails every cut; the bisection counts as the traversal
+    for u in ([-np.inf, -np.inf, 0.0, 0.5, 1.5, np.inf], [0.0, 1.0, np.inf, np.inf],
+              [np.inf, 3.0, 1.0, 1.0, -1e308, -np.inf]):
+        terms = [evaluator._KernelTerms(k, d) for d in (0.5, 1.0)]
+        got, want = _lag_counts_both_ways(np.array(u), terms)
+        assert got is not None and np.array_equal(got, want)
+
+
+def test_inputs_off_the_monotone_path_take_the_traversal():
+    # one ulp from monotone, a kernel that is not 0/1, a NaN and a float32
+    # copy: no bisection (the brute-force test checks the values of the first two)
+    ind, env = nl.indicator_kernel(), nl.envelope_kernel(0.8, 1.1, 2.0)
+    with_nan = _RISING.copy()
+    with_nan[7] = np.nan
+    for u, k in ((_ONE_ULP_OFF, ind), (_ONE_ULP_OFF[::-1], ind), (_RISING, env),
+                 (with_nan, ind), (_RISING.astype(np.float32), ind)):
+        terms = [evaluator._KernelTerms(k, d) for d in (0.3, 0.1)]
+        assert evaluator._monotone_lag_counts(u, terms) is None
+    # |du| > 0.5 on one pair at each of the lags 1, 2, 3; a NaN |du| never counts
+    u = np.array([0.0, 1.0, np.nan, 2.0])
+    assert pair_sum_on_samples(u, (1.0,), ind, 2.0, 0.5) == pytest.approx(
+        0.5 ** 2 * 2.0 * (1 + 1 / 2 ** 3 + 1 / 3 ** 3), rel=1e-15)
+    # float32 steps just below the cut at delta = 0.7 count only at lag 2; the
+    # cut rounds down to the step in float32, where the step would count
+    cut = evaluator._KernelTerms(ind, 0.7).cuts[0]
+    step = np.float32(cut)
+    assert float(step) < cut
+    u = np.array([0.0, step, 2 * step], dtype=np.float32)
+    assert pair_sum_on_samples(u, (1.0,), ind, 2.0, 0.7) == pytest.approx(
+        0.7 ** 2 * 2.0 / 2 ** 3, rel=1e-15)
 
 
 def _gather_move(obj, v, where, old, new):
