@@ -38,6 +38,4 @@ from .experiments import (GrowthReport, GrowthRow, SweepReport, SweepRow,
                           band_pathology, delta_sweep, step_divergence,
                           write_csv, write_growth_csv, write_meta,
                           write_sweep_csv)
-from .gamma_limit import (KappaProblem, KappaReport, PerturbationFamily,
-                          ProbeReport, ProbeRow, kappa_estimate,
-                          lower_bound_probe, write_trace_csv)
+from .gamma_limit import KappaProblem, KappaReport, kappa_estimate, write_trace_csv

@@ -26,7 +26,11 @@ kernel, a grid function that is 0 off its lattice
 rectangle of rows (and columns) whose shifted points reach the lattice,
 plus the exact count of the cells whose shifted value is 0; every other
 kernel, and every function without a box, is evaluated and summed on
-every cell of the group, in order.
+every cell of the group, in order.  Under a 0/1 kernel the leading
+h-steps whose |du| the Lipschitz bound ``TestFunction.lipschitz``, with
+room for rounding, keeps below the lower cut count 0 unevaluated
+(``_quiet_h_steps``); each chunk's dot product reads the same counts, so
+the value keeps its bits.
 Either scheme refuses a non-finite sum (ParameterError) rather than
 report it, and the polar scheme a non-finite shifted value of u.
 
@@ -147,9 +151,13 @@ def _cell_axes(dom, n: int):
     """Cell-centre coordinates along each axis of the window, and the spacings.
 
     The cells of a 2-D window are the tensor product of the two axes.  A
-    grid_n whose axis numpy cannot allocate is a ParameterError.
+    grid_n whose axis numpy cannot allocate, or whose spacing underflows
+    to 0, is a ParameterError.
     """
     spac = tuple((b - a) / n for a, b in zip(dom.window_lo, dom.window_hi))
+    if not all(h > 0.0 for h in spac):
+        raise ParameterError(f"the window {list(dom.window_lo)} to {list(dom.window_hi)} "
+                             f"is too narrow for grid_n = {n}: a cell spacing is 0")
     try:
         centres = np.arange(n) + 0.5
     except (ValueError, MemoryError) as exc:    # past numpy's size limit, or the memory's
@@ -513,6 +521,31 @@ def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
     return _values_on_axes(f, coords)
 
 
+def _quiet_h_steps(f: TestFunction, terms: _KernelTerms, u0: np.ndarray, delta: float,
+                   h_grid: np.ndarray) -> int:
+    """How many leading polar h-steps count no |du| at all: 0 unless 0/1.
+
+    With L = ``f.lipschitz``, eps = 2^-53, the reach delta * h and X the
+    largest window coordinate plus the reach, a shifted point
+    fl(x + fl(fl(delta h) sigma)) lies within reach (1 + 6 eps) + 2 eps X of
+    its cell centre x, so |u(shifted) - u(x)| is at most L times that.  The
+    evaluated u is off by a few eps (max|u0| + L X): the value at the point,
+    its lattice coordinate or sine argument, and its affine product.  The
+    subtraction adds eps |du|.  The bound below takes 1e-9 for each of these
+    eps terms, so while it is under the lower cut, so is every computed |du|,
+    and the h-step counts 0 on every kernel c * 1_(lo, hi).  It grows with h,
+    so the quiet h-steps are a prefix of the grid.
+    """
+    if terms.cuts is None:
+        return 0
+    lo, lip = terms.cuts[0], f.lipschitz
+    with np.errstate(over="ignore", invalid="ignore"):    # inf or nan: not quiet
+        reach = delta * h_grid
+        far = max(abs(c) for c in f.domain.window_lo + f.domain.window_hi) + reach
+        bound = lip * reach * (1 + 1e-9) + 1e-9 * (lo + float(np.max(np.abs(u0))) + lip * far)
+    return int(np.count_nonzero(bound < lo))
+
+
 def _require_whole_space(dom):
     """The polar scheme's contract: it has no bounded-domain form."""
     if dom.flavor != "whole-space":
@@ -562,6 +595,7 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         count_all = terms.sum(abs_u0)
     buf = np.empty(u0.size * _H_GROUP)              # |du| of one group
     mask = np.empty(buf.size, dtype=bool)
+    skip = _quiet_h_steps(f, terms, u0, delta, h_grid)
 
     def group_sums(pts):
         """Kernel sums per h-step of one group; pts holds its (n, nh, d) points."""
@@ -584,21 +618,24 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         for sigma in sigmas:
             for a in range(0, h_grid.size, _H_CHUNK):
                 b = min(a + _H_CHUNK, h_grid.size)
+                # the quiet h-steps count 0 and are not evaluated; the chunk's
+                # dot product reads the same counts
+                start = min(max(a, skip), b)
+                per_h = np.empty(b - a, dtype=np.intp if terms.cuts is not None else float)
+                per_h[:start - a] = 0
                 # the chunk's points, one group after another: one allocation
                 # per chunk, where one per group was handed back to the OS
                 # and faulted in again every group
-                block = np.empty(x.size * (b - a))
-                sums = []
-                for g in range(a, b, _H_GROUP):
+                block = np.empty(x.size * (b - start))
+                for g in range(start, b, _H_GROUP):
                     e = min(g + _H_GROUP, b)
                     # (n, nh, d): each axis shifted on its own; in 2-D the
                     # group's points are the tensor product of the two axes
-                    pts = block[x.size * (g - a):x.size * (e - a)].reshape(
+                    pts = block[x.size * (g - start):x.size * (e - start)].reshape(
                         x.shape[0], e - g, -1)
                     np.add(x[:, None, :], (delta * h_grid[g:e])[None, :, None] * sigma,
                            out=pts)
-                    sums.append(group_sums(pts))
-                per_h = np.concatenate(sums)
+                    per_h[g - a:e - a] = group_sums(pts)
                 parts.append(float(np.dot(per_h, h_weights[a:b])))
     raw = _tree_sum(parts)
     value = k.scale_c * cell_vol * ang_w * ds * raw

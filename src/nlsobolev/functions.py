@@ -146,6 +146,28 @@ class TestFunction:
         return d
 
     @property
+    def lipschitz(self) -> float:
+        """A Lipschitz constant of u on all of R^d, derived from the kind.
+
+        affine |a|, cube profile 1, sine 2 pi f |A|, step inf; a grid the
+        hypot of its largest per-axis node difference over the spacing, which
+        bounds the gradient of the multilinear interpolant and of its clamped
+        extension.  A constant past the largest double is inf.
+        """
+        if self.kind == "affine":
+            return math.hypot(*self.a)
+        if self.kind == "cube-profile":
+            return 1.0
+        if self.kind == "sine":
+            return 2 * math.pi * self.frequency * abs(self.amplitude)
+        if self.kind == "step":
+            return math.inf
+        v = self.grid_values
+        with np.errstate(over="ignore"):
+            steps = [float(np.max(np.abs(np.diff(v, axis=ax)))) for ax in range(v.ndim)]
+        return math.hypot(*steps) / self.grid_spacing
+
+    @property
     def support_box(self):
         """((lo, hi) per axis) of a box off which u is exactly 0, else None.
 

@@ -1,4 +1,4 @@
-"""Variational probes of the small-delta limit constant kappa.
+"""Pattern-search estimate of the small-delta limit constant kappa.
 
 The limiting functional of Lambda_delta in the variational sense is
 kappa * int |grad u|^p for a constant kappa in (0, 1] depending only on
@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .evaluator import (FunctionalParams, _KernelTerms, _lag_weights, pair_sum_on_samples,
                         sample_midpoints)
 from .experiments import _require_resolution, write_csv
-from .functions import TestFunction, cube_profile, discrete_lp_norm, sobolev_energy
+from .functions import TestFunction, cube_profile, discrete_lp_norm
 from .kernels import Kernel
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
     "KappaReport",
     "kappa_estimate",
     "write_trace_csv",
-    "PerturbationFamily",
-    "ProbeRow",
-    "ProbeReport",
-    "lower_bound_probe",
 ]
 
 _STEP_SHRINK = 0.5      # step factor after _PATIENCE consecutive rejections
@@ -76,6 +72,8 @@ class KappaProblem:
         FunctionalParams(self.p, self.delta, self.grid_n, threads=self.threads)
         if self.d not in (1, 2):
             raise ParameterError("d must be 1 or 2")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
         if self.iterations < 0 or self.restarts < 1:
             raise ParameterError("need iterations >= 0 and restarts >= 1")
         if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
@@ -243,84 +241,3 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
 def write_trace_csv(report: KappaReport, path):
     write_csv(path, ["iteration", "objective", "proximity"], report.trace)
 
-
-# ----------------------------------------------------------------------
-# perturbation families and lower-bound probes
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """A family delta -> g_delta converging to a base function in L^p.
-
-    ``make`` builds g_delta; ``budget`` is the proximity schedule: the
-    discrete L^p distance to the base must stay within budget(delta).
-    """
-    name: str
-    make: object        # callable delta -> TestFunction
-    budget: object      # callable delta -> float
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    family: str
-    delta: float
-    value: float
-    proximity: float
-    budget: float
-
-
-@dataclass
-class ProbeReport:
-    rows: list[ProbeRow]
-    per_family: dict
-    metadata: dict = field(default_factory=dict)
-
-
-def lower_bound_probe(g: TestFunction, families, k: Kernel, p: float, delta_list,
-                      grid_n: int = 1024, kappa_hat: float | None = None,
-                      tolerance: float = 0.05) -> ProbeReport:
-    """Evaluate perturbation families against the kappa_hat lower bound.
-
-    For each family the minimum value over the sweep is compared with
-    kappa_hat * energy(g) - tolerance.  A violation is reported as
-    evidence that kappa_hat (an upper bound for the discretized
-    infimum) is loose at this resolution, never as a failure of the
-    variational inequality itself.
-    """
-    # FunctionalParams checks p, grid_n and each delta
-    ds = [FunctionalParams(p, float(d), grid_n).delta for d in delta_list]
-    if not ds:
-        raise ParameterError("empty delta list")
-    g_samples, spac = sample_midpoints(g, grid_n)
-    cell_vol = float(np.prod(spac))
-    energy = sobolev_energy(g, p)
-    rows = []
-    per_family = {}
-    for fam in families:
-        fam_rows = []
-        for d in ds:
-            gd = fam.make(d)
-            gd_samples, gd_spac = sample_midpoints(gd, grid_n)
-            if gd_samples.shape != g_samples.shape:
-                raise ParameterError(f"family {fam.name!r} changed the grid shape")
-            prox = discrete_lp_norm(gd_samples - g_samples, cell_vol, p)
-            budget = float(fam.budget(d))
-            if prox > budget * (1.0 + 1e-9):
-                raise ParameterError(
-                    f"family {fam.name!r} violates its proximity schedule at "
-                    f"delta={d}: {prox:.3g} > {budget:.3g}")
-            value = pair_sum_on_samples(gd_samples, gd_spac, k, p, d)
-            row = ProbeRow(fam.name, d, value, prox, budget)
-            rows.append(row)
-            fam_rows.append(row)
-        min_value = min(r.value for r in fam_rows)
-        entry = {"min_value": min_value}
-        if kappa_hat is not None and math.isfinite(energy):
-            bound = kappa_hat * energy - tolerance
-            entry["lower_bound"] = bound
-            entry["consistent"] = bool(min_value >= bound)
-        per_family[fam.name] = entry
-    meta = {"experiment": "lower_bound_probe", "kernel": k.describe(),
-            "function": g.describe(), "p": p, "grid_n": grid_n,
-            "kappa_hat": kappa_hat, "tolerance": tolerance}
-    return ProbeReport(rows, per_family, meta)

@@ -359,17 +359,24 @@ def _tabulated_growth(k: Kernel, q: float) -> float:
             if v1 > 0:
                 return math.inf
             continue
+        if v0 == 0.0 and v1 == 0.0:
+            continue          # the ratio is 0 on the whole segment
         beta = (v1 - v0) / (t1 - t0)
         alpha = v0 - beta * t0
-        cand = [(alpha + beta * t0) * t0 ** (-q), (alpha + beta * t1) * t1 ** (-q)]
-        if alpha * beta < 0:
-            ts = q * alpha / ((1.0 - q) * beta)  # stationary point of the ratio
-            if t0 < ts < t1:
-                cand.append((alpha + beta * ts) * ts ** (-q))
-        sup = max(sup, max(cand))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = [(alpha + beta * t0) * t0 ** (-q), (alpha + beta * t1) * t1 ** (-q)]
+            if alpha * beta < 0:
+                ts = q * alpha / ((1.0 - q) * beta)  # stationary point of the ratio
+                if t0 < ts < t1:
+                    cand.append((alpha + beta * ts) * ts ** (-q))
+        # a knot so near 0 that t^(-q) overflows makes a ratio inf, or nan
+        # where the value there rounds to 0: either reads as inf, a sup that
+        # leaves every certificate reading it infinite
+        sup = max(sup, *(c if c == c else math.inf for c in cand))
     # constant tail inside (0,1] if the last knot is below 1
     if kts[-1] < 1.0 and vals[-1] > 0:
-        sup = max(sup, vals[-1] * kts[-1] ** (-q))
+        with np.errstate(over="ignore"):
+            sup = max(sup, vals[-1] * kts[-1] ** (-q))
     return sup
 
 

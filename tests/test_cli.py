@@ -942,7 +942,7 @@ def _fuzz_cases(text):
         except ValueError:
             continue
         for j in range(len(entries)):
-            for bad in ("nan", "inf", "-inf", "1e308"):
+            for bad in ("nan", "inf", "-inf", "1e308", "-1", "5e-324"):
                 if bad == "1e308" and key in _COUNT_KEYS:
                     continue
                 new = ", ".join(bad if m == j else e for m, e in enumerate(entries))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nlsobolev as nl
@@ -798,6 +798,86 @@ def test_polar_support_box_bitwise_equal_dense(case, k, delta, h_min, h_max, h_s
     got = nl.lambda_polar(f, k, params).value
     with np.errstate(over="ignore"):
         assert got == _polar_dense(f, k, params)
+
+
+def _polar_without_quiet_steps(f, k, params):
+    """lambda_polar with TestFunction.lipschitz read as inf, so no h-step is skipped,
+    and the number of groups that reach _polar_eval_shifted."""
+    shifted, groups = evaluator._polar_eval_shifted, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions.TestFunction, "lipschitz", property(lambda self: math.inf))
+        mp.setattr(evaluator, "_polar_eval_shifted",
+                   lambda f_, pts, rect: groups.append(pts.shape[1]) or shifted(f_, pts, rect))
+        return nl.lambda_polar(f, k, params), len(groups)
+
+
+@st.composite
+def _polar_field(draw):
+    """A whole-space lattice (zero boundary or not) or a whole-space sine, 1-D or 2-D."""
+    if draw(st.booleans()):
+        return draw(_zero_boundary_lattice())[0]
+    dim = draw(st.sampled_from([1, 2]))
+    return nl.sine_function(draw(st.sampled_from([0.5, 1.0, 3.0])),
+                            draw(st.sampled_from([-2.0, 0.25, 1.0])),
+                            nl.whole_space([0.0] * dim, [1.0] * dim,
+                                           padding=draw(st.sampled_from([0.25, 1.0]))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_polar_field(), k=_ZERO_ONE_KERNELS, delta=st.sampled_from([0.05, 0.25, 0.5, 1.0, 3.0]),
+       h_min=st.sampled_from([1e-4, 1e-2, 0.1]), h_max=st.sampled_from([2.0, 20.0, 200.0]),
+       h_steps=st.integers(8, 140), angles=st.integers(4, 6), n=st.integers(16, 24))
+# a lattice that varies along axis 1 only: its constant reads that axis
+@example(f=nl.grid_function(np.tile(np.arange(5.0), (4, 1)), [0.0, 0.0], 0.25,
+                            flavor="whole-space", padding=0.5),
+         k=nl.indicator_kernel(), delta=0.25, h_min=1e-2, h_max=20.0, h_steps=40, angles=4, n=16)
+def test_polar_quiet_h_steps_keep_the_bits(f, k, delta, h_min, h_max, h_steps, angles, n):
+    # the leading h-steps whose |du| the Lipschitz bound keeps below the
+    # lower cut count 0 unevaluated; value and certificate keep every bit
+    params = nl.FunctionalParams(p=2.0, delta=delta, grid_n=n, polar_h_min=h_min,
+                                 polar_h_max=h_max, polar_h_steps=h_steps,
+                                 polar_angle_steps=angles)
+    got = nl.lambda_polar(f, k, params)
+    want, _ = _polar_without_quiet_steps(f, k, params)
+    assert got.value.hex() == want.value.hex()
+    assert got.tail_bound.hex() == want.tail_bound.hex()
+
+
+def test_polar_skips_quiet_h_steps_on_a_bump_field(monkeypatch):
+    x = np.linspace(-1.0, 1.0, 17)
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    f = nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
+                         0.125, flavor="whole-space", padding=0.5)
+    params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=100,
+                                 polar_angle_steps=8)
+    k = nl.normalize(nl.indicator_kernel(), 2, 2.0)
+    want, all_groups = _polar_without_quiet_steps(f, k, params)
+    steps = []
+    shifted = evaluator._polar_eval_shifted
+    monkeypatch.setattr(evaluator, "_polar_eval_shifted",
+                        lambda f_, pts, rect: steps.append(pts.shape[1]) or shifted(f_, pts, rect))
+    got = nl.lambda_polar(f, k, params)
+    assert got.value.hex() == want.value.hex() and got.value > 0.0
+    assert 0 < len(steps) < all_groups
+    assert sum(steps) < 8 * 100                   # h-steps evaluated, over 8 angles
+    # every other kernel evaluates every h-step
+    steps.clear()
+    nl.lambda_polar(f, nl.envelope_kernel(0.8, 1.1, 2.0), params)
+    assert sum(steps) == 8 * 100
+
+
+def test_polar_quiet_h_steps_leave_room_for_rounding():
+    # far from the origin fl(x + delta*h) - x exceeds delta*h by rounding:
+    # with the lower cut 3e-14 above delta*h at h-step 20, L*delta*h alone
+    # would call that step quiet while every cell counts there
+    f = nl.affine_function([1.0], 0.0, nl.whole_space([1000.0], [1001.0], padding=0.5))
+    params = nl.FunctionalParams(p=2.0, delta=0.5, grid_n=64, polar_h_min=1e-3,
+                                 polar_h_max=10.0, polar_h_steps=40)
+    h = math.exp(math.log(1e-3) + 20.5 * math.log(1e4) / 40)
+    k = nl.indicator_kernel(threshold=(0.5 * h + 3e-14) / 0.5)
+    got = nl.lambda_polar(f, k, params)
+    want, _ = _polar_without_quiet_steps(f, k, params)
+    assert got.value.hex() == want.value.hex()
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""Pattern-search estimator and variational bound probes."""
+"""Pattern-search estimator of kappa."""
 
 
 import numpy as np
@@ -149,49 +149,3 @@ def test_recovery_constant_is_zero():
     rep = nl.delta_sweep(f, _indicator(), 2.0, [0.2, 0.1], grid_n=512)
     assert all(v == 0.0 for v in rep.values())
 
-
-def test_lower_bound_probe_constant_family():
-    # consistency between the two estimators on the same discretization:
-    # the trivial family g_delta = U stays above kappa_hat * energy(U)
-    # because kappa_hat never exceeds the baseline value at U
-    k = _indicator()
-    g = nl.cube_profile(1)
-    kappa_hat = nl.kappa_estimate(nl.KappaProblem(
-        kernel=k, delta=0.05, grid_n=1024, iterations=500, restarts=2,
-        seed=1)).kappa_hat
-    fam = nl.PerturbationFamily("constant", lambda d: g, lambda d: 1e-12)
-    rep = nl.lower_bound_probe(g, [fam], k, 2.0, [0.1, 0.05], grid_n=1024,
-                               kappa_hat=kappa_hat, tolerance=0.1)
-    entry = rep.per_family["constant"]
-    assert entry["consistent"]
-    assert entry["min_value"] == pytest.approx((1 - 0.1) ** 2, rel=2e-2)
-
-
-def test_lower_bound_probe_sawtooth_family():
-    g = nl.cube_profile(1)
-    n_nodes = 2049
-
-    def make(delta):
-        x = np.linspace(0.0, 1.0, n_nodes)
-        saw = (x * 64) % 1.0 - 0.5
-        return nl.grid_function(x + delta ** 2 * saw, [0.0], 1.0 / (n_nodes - 1))
-
-    fam = nl.PerturbationFamily("sawtooth", make, lambda d: d ** 2)
-    rep = nl.lower_bound_probe(g, [fam], _indicator(), 2.0, [0.2, 0.1], grid_n=1024,
-                               kappa_hat=0.8, tolerance=0.05)
-    assert all(r.proximity <= r.budget * (1 + 1e-9) for r in rep.rows)
-    # each value is the pair sum of the family member, bit for bit
-    for row in rep.rows:
-        params = nl.FunctionalParams(p=2.0, delta=row.delta, grid_n=1024)
-        assert row.value == nl.lambda_pair(make(row.delta), _indicator(), params).value
-    for p, grid_n, deltas in ((0.5, 1024, [0.2]), (2.0, 8, [0.2]), (2.0, 1024, [])):
-        with pytest.raises(ParameterError):
-            nl.lower_bound_probe(g, [fam], _indicator(), p, deltas, grid_n=grid_n)
-
-
-def test_lower_bound_probe_rejects_budget_violation():
-    g = nl.cube_profile(1)
-    off = nl.affine_function([1.0], 0.5, nl.bounded_box([0.0], [1.0]))
-    fam = nl.PerturbationFamily("broken", lambda d: off, lambda d: 1e-6)
-    with pytest.raises(ParameterError):
-        nl.lower_bound_probe(g, [fam], _indicator(), 2.0, [0.1], grid_n=512)
