@@ -240,13 +240,28 @@ def format_cell(x) -> str:
     return CSV_DIGITS % x
 
 
+def _csv_cell(c) -> str:
+    return c if isinstance(c, str) else format_cell(c)
+
+
+def _csv_rows(rows):
+    """Each row as strings.  A cell that is the same object as the previous
+    row's cell in its column reuses that row's string: identity, not ==,
+    since 0.0 == -0.0 and the two print differently."""
+    prev, prev_out = (), []
+    for row in rows:
+        out = [o if c is p else _csv_cell(c) for c, p, o in zip(row, prev, prev_out)]
+        out += map(_csv_cell, row[len(out):])
+        yield out
+        prev, prev_out = row, out
+
+
 def write_csv(path, header, rows):
     """The one CSV writer: strings go out as they are, numbers through format_cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([c if isinstance(c, str) else format_cell(c) for c in row]
-                    for row in rows)
+        w.writerows(_csv_rows(rows))
 
 
 def write_sweep_csv(report: SweepReport, path):

@@ -461,6 +461,14 @@ def _tabulated_norm_integral(k: Kernel, p: float) -> float:
         return 0.0  # identically zero
     if kts[i] == 0.0 or kts[i - 1] == 0.0:
         raise KernelValidationError("tabulated kernel positive near 0: integral diverges")
+    def power(t, e):
+        try:
+            return t ** e
+        except OverflowError:       # Python's float ** raises where numpy gives inf
+            raise KernelValidationError(
+                f"kernel.knots: the knot {t!r} is too near 0 for the calibration "
+                f"integral at p = {p!r} (t^{e!r} overflows)") from None
+
     body = 0.0
     # segments before the first positive value are zero, jump segments empty
     for t0, t1, v0, v1 in zip(kts[i - 1:], kts[i:], vals[i - 1:], vals[i:]):
@@ -468,9 +476,9 @@ def _tabulated_norm_integral(k: Kernel, p: float) -> float:
             continue
         beta = (v1 - v0) / (t1 - t0)
         alpha = v0 - beta * t0
-        body += (alpha * (t0 ** -p - t1 ** -p) / p
-                 + beta * (t0 ** (1.0 - p) - t1 ** (1.0 - p)) / (p - 1.0))
-    tail = vals[-1] * kts[-1] ** (-p) / p
+        body += (alpha * (power(t0, -p) - power(t1, -p)) / p
+                 + beta * (power(t0, 1.0 - p) - power(t1, 1.0 - p)) / (p - 1.0))
+    tail = vals[-1] * power(kts[-1], -p) / p
     return k.scale_c * (body + tail)
 
 

@@ -193,6 +193,11 @@ kappa.restarts = 2
     assert "kappa_hat=" in r1.stdout
     meta = json.loads((tmp_path / "k1.meta.json").read_text())
     assert meta["kappa_hat"] <= meta["baseline"] + 1e-12
+    # how the search went: moves tried and taken, and the running total's drift
+    assert 0 < meta["moves_accepted"] <= meta["moves_evaluated"] <= 2 * 200 * 2
+    rows = (tmp_path / "k1.csv").read_text().split()
+    assert meta["running_drift"] == (abs(float(rows[-1].split(",")[1]) - meta["kappa_hat"])
+                                     / meta["kappa_hat"])
 
 
 def test_cross_check_subcommand(tmp_path):
@@ -883,6 +888,18 @@ def test_demo_configs(tmp_path, name, sub, status, header):
     assert keys[:4] == ["config", "subcommand", "threads", "seed"]
     assert keys[-2:] == ["versions", "wall_time_s"]
     assert meta["subcommand"] == sub
+
+
+def test_tabulated_knot_too_near_0_names_its_key(tmp_path):
+    # t^-p of the knot overflows in the calibration integral: a validation
+    # error that names the key and the knot, not Python's errno tuple
+    conf = write_config(tmp_path, "kernel.shape = tabulated\nkernel.knots = 5e-324, 1, 2\n"
+                                  "kernel.values = 0, 0.5, 1\nkernel.normalize = true\n"
+                                  "function.kind = affine\ndelta = 0.1\ngrid_n = 256\n")
+    res = run_cli("eval", "--config", conf, "--out", str(tmp_path / "e"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: kernel.knots: the knot 5e-324 is too near 0")
+    assert "Numerical result out of range" not in res.stderr
 
 
 _FUZZ_KERNEL = "kernel.shape = indicator\nkernel.c = 1\nkernel.threshold = 1\n" \

@@ -390,6 +390,74 @@ def test_move_delta_bitwise_equals_gather_reference(k, lattice, dim, division, s
             v[where] = new              # later moves see a changed v and reused buffers
 
 
+# sample values that sit on a kernel's cut edges or far from every cut
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e305, -1e305]
+
+
+def _near(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=_ZERO_ONE_KERNELS, lattice=_LATTICE, dim=st.sampled_from([1, 2]),
+       extremes=st.booleans(), seed=st.integers(0, 2 ** 16),
+       moves=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 6),
+                                st.integers(-8, 8), st.booleans()), min_size=1, max_size=30))
+@example(k=nl.indicator_kernel(), lattice=(0.25, 1.0), dim=1, extremes=True, seed=3,
+         moves=[(i, 2, u, True) for i in range(6) for u in (-3, 0, 3)])
+def test_windowed_move_bitwise_equals_dense(k, lattice, dim, extremes, seed, moves):
+    # lattice samples with ties and |du| on the cut edges, optionally with
+    # signed zeros, subnormals and +-1e305; each new value is a lattice step,
+    # a cut edge or a few ulps from one (a centre whose distance from the lower
+    # cut is a few ulps from 0), or a jump past a whole cut width.  Accepted
+    # moves keep the sorted copy in step with v
+    q, r = lattice
+    v = _lattice_samples(dim, q, seed).astype(float)
+    flat_v = v.reshape(-1)
+    if extremes:
+        flat_v[:len(_EXTREMES)] = _EXTREMES[:flat_v.size]
+    spac = (0.01,) if dim == 1 else (0.1, 0.05)
+    obj = _PairObjective(k, 2.5, q * r, spac, v.shape)
+    lo, hi = obj.cuts
+    edges = [lo, -lo] if hi is None else [lo, -lo, hi, -hi]
+    obj.start(v)
+    for cell, kind, ulps, accept in moves:
+        flat = cell % v.size
+        old = v.item(flat)
+        new = (old + ulps * q, _near(old + edges[ulps % len(edges)], ulps),
+               _near(lo, ulps), _near(-lo, ulps), edges[ulps % len(edges)],
+               old + 3.0 * ulps * (hi or lo), _EXTREMES[ulps % len(_EXTREMES)])[kind]
+        if new == old:
+            continue
+        where = (flat,) if dim == 1 else divmod(flat, v.shape[1])
+        assert obj.gain(v, flat, old, new).hex() == obj.move_delta(v, where, old, new).hex()
+        for x in (old, new):        # the runs are the cells the kernel counts against x
+            a, b, c, d = obj._edges(x)
+            counted = obj.terms.values(np.abs(flat_v - x)).astype(bool)
+            assert sorted(obj.order[a:b].tolist() + obj.order[c:d].tolist()) == \
+                np.flatnonzero(counted).tolist()
+        if accept:
+            obj.accept(v, flat, new)
+            assert v.item(flat) == new
+            assert obj.vals == flat_v[obj.order].tolist() == sorted(flat_v.tolist())
+
+
+def test_windowed_moves_need_finite_weights():
+    # a weight past the largest double makes an unchanged cell of the dense
+    # product 0 * inf = nan, which no zero scratch cell holds: such moves stay dense
+    k = nl.indicator_kernel()
+    assert _PairObjective(k, 2.0, 0.5, (0.1,), (8,)).cuts is not None
+    with np.errstate(over="ignore"):
+        obj = _PairObjective(k, 2.0, 0.5, (1e-200,), (8,))
+    assert obj.cuts is None and not np.isfinite(obj.wr).all()
+    v = np.arange(8.0)
+    obj.start(v)
+    assert math.isnan(obj.gain(v, 3, 3.0, 0.0))
+    assert math.isnan(obj.move_delta(v, (3,), 3.0, 0.0))
+
+
 _EDGES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
                    allow_infinity=False, allow_subnormal=True)
 _DELTAS = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,

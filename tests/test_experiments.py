@@ -1,5 +1,6 @@
 """Sweep, pathology, and refinement-growth experiment checks."""
 
+import csv
 import json
 import math
 
@@ -9,7 +10,7 @@ from scipy import integrate
 
 import nlsobolev as nl
 from nlsobolev.errors import ParameterError, ResolutionError
-from nlsobolev.experiments import INF_TOKEN
+from nlsobolev.experiments import INF_TOKEN, format_cell
 
 
 def _affine_setup():
@@ -237,6 +238,27 @@ def test_csv_inf_flag_token(tmp_path):
     row = path.read_text().strip().split("\n")[1].split(",")
     assert row[3] == INF_TOKEN      # infinite energy
     assert row[4] == INF_TOKEN      # undefined ratio
+
+
+def test_csv_repeated_cells_write_the_bytes_of_the_per_cell_form(tmp_path):
+    # a cell that is the previous row's object reuses its string; equal cells
+    # that are other objects (0.0 and -0.0 above all) are formatted afresh
+    zero, nzero, inf, nan, x = 0.0, -0.0, math.inf, math.nan, 1.0 / 3.0
+    y = np.float64(2.5)
+    rows = [(0, zero, x, "a"), (1, zero, x, "a"), (2, nzero, x, "b"), (3, nzero, y, "b"),
+            (4, -0.0, y, "b"), (5, 0.0, inf, None), (6, zero, inf, None), (7, nan, nan, "c"),
+            (8, nan, -inf, "c"), [9, float("nan"), -inf, "c"], (10, x + 0.0, 1 / 3, "c"),
+            (11, 7)]
+    path = tmp_path / "cells.csv"
+    nl.write_csv(path, ["i", "a", "b", "s"], rows)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "a", "b", "s"])
+        for row in rows:
+            w.writerow([c if isinstance(c, str) else format_cell(c) for c in row])
+    assert path.read_bytes() == want.read_bytes()
+    assert b"\n2,-0,0.33333333333333331,b\r\n" in path.read_bytes()
 
 
 def test_growth_csv(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nlsobolev as nl
+from nlsobolev import gamma_limit
 from nlsobolev.errors import ParameterError, ResolutionError
 
 
@@ -102,6 +103,49 @@ def test_kappa_2d_runs():
                            iterations=100, restarts=1, seed=0)
     rep = nl.kappa_estimate(prob)
     assert 0.0 < rep.kappa_hat <= rep.baseline + 1e-12
+
+
+def _dense_moves(prob):
+    """kappa_estimate(prob) with the windowed moves disabled: every move is dense."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_limit, "_window_cuts", lambda terms, wr: None)
+        return nl.kappa_estimate(prob)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", [
+    dict(kernel=_indicator(), delta=0.05, grid_n=512, iterations=600, restarts=3),
+    dict(kernel=nl.normalize(nl.band_kernel(1.0, 2.0), 1, 1.5), p=1.5, delta=0.05,
+         grid_n=512, iterations=600, restarts=3),
+    dict(kernel=nl.normalize(nl.indicator_kernel(), 2, 2.0), d=2, delta=0.25, grid_n=32,
+         iterations=300, restarts=2),
+    dict(kernel=nl.band_kernel(0.5, 3.0), d=2, delta=0.25, grid_n=32, iterations=300,
+         restarts=2),
+])
+def test_windowed_moves_keep_the_trace_bits(case, seed):
+    prob = nl.KappaProblem(seed=seed, **case)
+    got, want = nl.kappa_estimate(prob), _dense_moves(prob)
+    assert got.kappa_hat.hex() == want.kappa_hat.hex()
+    assert [(i, a.hex(), b.hex()) for i, a, b in got.trace] == \
+        [(i, a.hex(), b.hex()) for i, a, b in want.trace]
+    assert got.best_values.tobytes() == want.best_values.tobytes()
+    assert got.metadata == want.metadata
+    assert got.metadata["moves_accepted"] > 0
+
+
+def test_search_record_counts_moves_and_drift():
+    prob = nl.KappaProblem(kernel=_indicator(), delta=0.05, grid_n=512, iterations=400,
+                           restarts=2, seed=5)
+    rep = nl.kappa_estimate(prob)
+    meta = rep.summary()
+    improvements = sum(b[1] < a[1] for a, b in zip(rep.trace, rep.trace[1:]))
+    assert improvements <= meta["moves_accepted"] <= meta["moves_evaluated"] <= 2 * 800
+    assert meta["running_drift"] == abs(rep.trace[-1][1] - rep.kappa_hat) / rep.kappa_hat
+    assert meta["running_drift"] <= 1e-9
+    none = nl.kappa_estimate(nl.KappaProblem(kernel=_indicator(), delta=0.1, grid_n=512,
+                                             iterations=0, restarts=1))
+    assert (none.metadata["moves_evaluated"], none.metadata["moves_accepted"],
+            none.metadata["running_drift"]) == (0, 0, 0.0)
 
 
 def test_trace_csv(tmp_path):
