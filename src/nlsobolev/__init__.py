@@ -15,9 +15,34 @@ The package provides kernel construction/validation/calibration, two
 independent evaluation schemes for cross-checking, convergence and
 pathology experiments, a pattern-search estimator for kappa, and a
 config-driven command line (``nlsobolev --help``).
+
+Importing the package loads numpy with OpenBLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``, set only while numpy loads): every sum here
+is serial, and OpenBLAS's worker would only busy-wait.  A thread count you
+set yourself in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` wins.  Import nlsobolev before numpy to run the whole
+process on single-threaded OpenBLAS.
 """
 
 __version__ = "0.1.0"
+
+import os as _os
+
+# The library's two BLAS calls are small (a dot of at most 64 terms, the 2-D
+# affine product), yet OpenBLAS starts a worker thread when numpy loads it
+# that busy-waits about 0.1 s of CPU per process.  OpenBLAS reads its thread
+# count once, at that load, from the first of these variables that is set:
+# pin it for the load only, so no worker starts and child processes do not
+# inherit the pin.  Numpy loaded earlier is unchanged.
+_PIN = not any(name in _os.environ for name in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _PIN:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _np  # noqa: F401  (loaded here, under the pin)
+finally:
+    if _PIN:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import (ContractError, DomainError, KernelValidationError,
                      NormalizationError, ParameterError, ResolutionError)

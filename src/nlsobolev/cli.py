@@ -417,8 +417,8 @@ def main(argv=None) -> int:
         seed = _get_int(cfg, "seed", 0)      # read, and checked, under --seed too
         args.seed = seed if args.seed is None else args.seed
         meta, line, status = _RUNNERS[args.subcommand](cfg, args)
-        # every run is serial (threads: 1); runner keys update these in place
-        # ("seed" for kappa), so the record's key order is fixed
+        # every run is serial, OpenBLAS included (threads: 1); runner keys
+        # update these in place ("seed" for kappa), so the key order is fixed
         experiments.write_meta({"config": cfg, "subcommand": args.subcommand,
                                 "threads": 1, "seed": args.seed, **meta,
                                 "wall_time_s": time.perf_counter() - start},

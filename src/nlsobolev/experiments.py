@@ -24,6 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import resource
+import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -273,12 +275,16 @@ def write_growth_csv(report: GrowthReport, path):
 
 
 def write_meta(metadata: dict, path):
-    """Write the run record as JSON: its keys, then the library versions,
-    then ``wall_time_s`` when the record has one.
+    """Write the run record as JSON: its keys, then ``peak_rss_mb`` of this
+    process so far, the library versions, and ``wall_time_s`` when the
+    record has one.
     """
     from . import __version__
     meta = dict(metadata)
     wall = meta.pop("wall_time_s", None)
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    meta["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                           / (1 << (20 if sys.platform == "darwin" else 10)))
     meta["versions"] = {
         "nlsobolev": __version__,
         "numpy": np.__version__,

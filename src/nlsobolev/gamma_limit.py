@@ -303,7 +303,16 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     cell_vol = float(np.prod(spac))
     norm_u = discrete_lp_norm(u_ref, cell_vol, prob.p)
     eps = prob.epsilon if prob.epsilon is not None else 0.1 * norm_u
-    eps_pow = eps ** prob.p
+    # one cell's proximity term |v - u|^p reaches eps^p / cell_vol
+    try:
+        eps_pow = eps ** prob.p
+    except OverflowError:
+        eps_pow = math.inf
+    if eps_pow / cell_vol == math.inf:
+        raise ParameterError(
+            f"value out of range: kappa.epsilon = {eps!r} lets one cell's proximity term "
+            f"|v - u|^p reach epsilon^p / cell volume, which overflows "
+            f"(p = {prob.p!r}, cell volume {cell_vol!r})")
 
     obj = _PairObjective(prob.kernel, prob.p, prob.delta, spac, u_ref.shape)
     rng = np.random.default_rng(prob.seed)

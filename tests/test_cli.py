@@ -174,6 +174,23 @@ def test_step_divergence_subcommand(tmp_path):
     assert [r["n"] for r in rows] == ["512", "1024", "2048"]
 
 
+@pytest.mark.parametrize("epsilon, status", [("1e154", 2), ("1e150", 0)])
+def test_kappa_epsilon_whose_proximity_overflows_exits_2(tmp_path, epsilon, status):
+    # grid_n 64, p = 2: epsilon^2 / cell volume overflows from 1.68e153 on.
+    # 1e154 used to print numpy overflow warnings and exit 0 or 2 on an
+    # errno tuple, after the restarts had clipped every move to radius 0
+    conf = write_config(tmp_path, KAPPA_CONF.replace("grid_n = 512", "grid_n = 64")
+                        .replace("delta = 0.1", "delta = 0.2")
+                        .replace("kappa.restarts = 2", "kappa.restarts = 3")
+                        .replace("kappa.iterations = 300", "kappa.iterations = 50")
+                        + f"kappa.epsilon = {epsilon}\n")
+    res = run_cli("kappa", "--config", conf, "--out", str(tmp_path / "k"))
+    assert res.returncode == status, res.stderr
+    assert "Warning" not in res.stderr
+    if status:
+        assert res.stderr.startswith("error: value out of range: kappa.epsilon = 1e+154 ")
+
+
 def test_kappa_subcommand_and_seed_reproducibility(tmp_path):
     conf = write_config(tmp_path, """
 kernel.shape = indicator
@@ -886,8 +903,9 @@ def test_demo_configs(tmp_path, name, sub, status, header):
     meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
     keys = list(meta)
     assert keys[:4] == ["config", "subcommand", "threads", "seed"]
-    assert keys[-2:] == ["versions", "wall_time_s"]
+    assert keys[-3:] == ["peak_rss_mb", "versions", "wall_time_s"]
     assert meta["subcommand"] == sub
+    assert 1.0 < meta["peak_rss_mb"] < 1024.0
 
 
 def test_tabulated_knot_too_near_0_names_its_key(tmp_path):

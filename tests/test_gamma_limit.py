@@ -1,5 +1,6 @@
 """Pattern-search estimator of kappa."""
 
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,21 @@ def test_resolution_and_feasibility_errors():
     with pytest.raises(ParameterError):
         nl.KappaProblem(kernel=_indicator(), delta=0.05, grid_n=1024,
                         epsilon=0.0, iterations=10)
+
+
+@pytest.mark.parametrize("p, d, grid_n", [(2.0, 1, 64), (1.5, 2, 24), (3.0, 1, 64)])
+def test_epsilon_refused_where_a_proximity_term_overflows(p, d, grid_n):
+    # one cell's |v - u|^p reaches epsilon^p / cell volume: just under the
+    # largest double the search runs (warnings are errors here), just over
+    # it the budget is refused with the key named
+    k = nl.normalize(nl.indicator_kernel(), d, p)
+    edge = (sys.float_info.max * grid_n ** -d) ** (1.0 / p)
+    common = dict(kernel=k, delta=0.2 if d == 1 else 0.4, grid_n=grid_n, p=p, d=d,
+                  iterations=50, restarts=3, seed=1)
+    rep = nl.kappa_estimate(nl.KappaProblem(epsilon=edge * (1 - 1e-9), **common))
+    assert rep.kappa_hat <= rep.baseline + 1e-12
+    with pytest.raises(ParameterError, match="kappa.epsilon"):
+        nl.kappa_estimate(nl.KappaProblem(epsilon=edge * (1 + 1e-9), **common))
 
 
 @pytest.mark.parametrize("bad", [dict(p=0.5), dict(p=float("nan")), dict(grid_n=8),
