@@ -14,9 +14,12 @@ is 0/0-adjacent; for Lipschitz u the growth condition phi(t) <= a t^(p+1)
 bounds the skipped continuum mass by (a L^(p+1) / delta) * |x-y|^(1-d)
 near the diagonal, and that bound is reported as a certificate.  The
 polar scheme integrates h on a geometric grid (the integrand decays like
-h^-(p+1)) and certifies the omitted head and tail analytically.  In 2-D,
-for one (sigma, h), the shifted cell centres are the tensor product of the
-two shifted axes, so u is evaluated on that product
+h^-(p+1)) and certifies the omitted head and tail analytically.  L is
+``TestFunction.lipschitz``, derived from the function's kind (inf for a
+step); each call reads it once, and every certificate of the call and the
+polar quiet h-steps take that one number.  In 2-D, for one (sigma, h),
+the shifted cell centres are the tensor product of the two shifted axes,
+so u is evaluated on that product
 (``functions._values_on_axes``): a grid function does its index work
 per axis, with the same bits as point by point.
 ``_polar_eval_shifted(f, pts, rect)`` returns u from the (n, nh, d) array
@@ -27,8 +30,8 @@ rectangle of rows (and columns) whose shifted points reach the lattice,
 plus the exact count of the cells whose shifted value is 0; every other
 kernel, and every function without a box, is evaluated and summed on
 every cell of the group, in order.  Under a 0/1 kernel the leading
-h-steps whose |du| the Lipschitz bound ``TestFunction.lipschitz``, with
-room for rounding, keeps below the lower cut count 0 unevaluated
+h-steps whose |du| the Lipschitz bound L, with room for rounding, keeps
+below the lower cut count 0 unevaluated
 (``_quiet_h_steps``); each chunk's dot product reads the same counts, so
 the value keeps its bits.
 Either scheme refuses a non-finite sum (ParameterError) rather than
@@ -423,20 +426,9 @@ def pair_sum_on_samples(u: np.ndarray, spacings, k: Kernel, p: float, delta,
     return values[0] if single else values
 
 
-def _sampled_lipschitz(u: np.ndarray, spacings) -> float:
-    """Largest adjacent-sample gradient magnitude (a Lipschitz estimate)."""
-    if u.ndim == 1:
-        if u.size < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(u)))) / spacings[0]
-    gx = np.max(np.abs(np.diff(u, axis=0))) / spacings[0] if u.shape[0] > 1 else 0.0
-    gy = np.max(np.abs(np.diff(u, axis=1))) / spacings[1] if u.shape[1] > 1 else 0.0
-    return math.hypot(float(gx), float(gy))
-
-
 def _diagonal_bound(k: Kernel, p: float, delta: float, lip: float,
                     window_vol: float, spacings) -> float:
-    """Certified continuum mass of the skipped same-cell regions."""
+    """Certified continuum mass of the skipped same-cell regions; lip is L."""
     a = growth_constant(k, p)
     if a == 0.0 or lip == 0.0:
         return 0.0
@@ -469,12 +461,12 @@ def _window_bound(f: TestFunction, k: Kernel, p: float, delta: float) -> float:
 def lambda_pair(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalResult:
     """Midpoint-rule double sum over cell pairs of the integration window.
 
-    tail_bound certifies the skipped same-cell mass (for Lipschitz u,
-    from the kernel's growth constant; 0 when that constant is 0) plus,
-    for whole-space domains, the pairs reaching beyond the padded
+    tail_bound certifies the skipped same-cell mass (from the kernel's
+    growth constant and L = ``f.lipschitz``; 0 when that constant is 0)
+    plus, for whole-space domains, the pairs reaching beyond the padded
     window.  It is inf when no finite certificate exists (e.g. a step
-    function under a kernel with a nonzero growth constant, where the
-    continuum integral itself diverges).
+    function, whose L is inf, under a kernel with a nonzero growth
+    constant, where the continuum integral itself diverges).
     """
     return _lambda_pair_deltas(f, k, [params])[0]
 
@@ -483,14 +475,14 @@ def _lambda_pair_deltas(f: TestFunction, k: Kernel,
                         params: list[FunctionalParams]) -> list[EvalResult]:
     """lambda_pair at each of ``params``, which differ only in delta.
 
-    u is sampled once, one pair traversal serves every delta, and the
-    Lipschitz estimate is taken once; each delta adds its own window and
+    u is sampled once, one pair traversal serves every delta, and
+    L = ``f.lipschitz`` is read once; each delta adds its own window and
     diagonal certificates.  The results have the bits of one call each.
     """
     p = params[0].p
     u, spac = sample_midpoints(f, params[0].grid_n)
     values = pair_sum_on_samples(u, spac, k, p, [q.delta for q in params])
-    lip = _sampled_lipschitz(u, spac)
+    lip = f.lipschitz
     return [EvalResult(value=value,
                        tail_bound=_window_bound(f, k, p, q.delta)
                        + _diagonal_bound(k, p, q.delta, lip, f.domain.window_volume, spac))
@@ -521,15 +513,16 @@ def _polar_eval_shifted(f: TestFunction, pts: np.ndarray, rect) -> np.ndarray:
     return _values_on_axes(f, coords)
 
 
-def _quiet_h_steps(f: TestFunction, terms: _KernelTerms, u0: np.ndarray, delta: float,
+def _quiet_h_steps(dom, lip: float, terms: _KernelTerms, u0: np.ndarray, delta: float,
                    h_grid: np.ndarray) -> int:
     """How many leading polar h-steps count no |du| at all: 0 unless 0/1.
 
-    With L = ``f.lipschitz``, eps = 2^-53, the reach delta * h and X the
-    largest window coordinate plus the reach, a shifted point
-    fl(x + fl(fl(delta h) sigma)) lies within reach (1 + 6 eps) + 2 eps X of
-    its cell centre x, so |u(shifted) - u(x)| is at most L times that.  The
-    evaluated u is off by a few eps (max|u0| + L X): the value at the point,
+    With L = lip (the caller's ``TestFunction.lipschitz``), eps = 2^-53,
+    the reach delta * h and X the largest window coordinate plus the
+    reach, a shifted point fl(x + fl(fl(delta h) sigma)) lies within
+    reach (1 + 6 eps) + 2 eps X of its cell centre x, so
+    |u(shifted) - u(x)| is at most L times that.  The evaluated u is off
+    by a few eps (max|u0| + L X): the value at the point,
     its lattice coordinate or sine argument, and its affine product.  The
     subtraction adds eps |du|.  The bound below takes 1e-9 for each of these
     eps terms, so while it is under the lower cut, so is every computed |du|,
@@ -538,10 +531,10 @@ def _quiet_h_steps(f: TestFunction, terms: _KernelTerms, u0: np.ndarray, delta: 
     """
     if terms.cuts is None:
         return 0
-    lo, lip = terms.cuts[0], f.lipschitz
+    lo = terms.cuts[0]
     with np.errstate(over="ignore", invalid="ignore"):    # inf or nan: not quiet
         reach = delta * h_grid
-        far = max(abs(c) for c in f.domain.window_lo + f.domain.window_hi) + reach
+        far = max(abs(c) for c in dom.window_lo + dom.window_hi) + reach
         bound = lip * reach * (1 + 1e-9) + 1e-9 * (lo + float(np.max(np.abs(u0))) + lip * far)
     return int(np.count_nonzero(bound < lo))
 
@@ -595,7 +588,8 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
         count_all = terms.sum(abs_u0)
     buf = np.empty(u0.size * _H_GROUP)              # |du| of one group
     mask = np.empty(buf.size, dtype=bool)
-    skip = _quiet_h_steps(f, terms, u0, delta, h_grid)
+    lip = f.lipschitz
+    skip = _quiet_h_steps(dom, lip, terms, u0, delta, h_grid)
 
     def group_sums(pts):
         """Kernel sums per h-step of one group; pts holds its (n, nh, d) points."""
@@ -648,7 +642,6 @@ def lambda_polar(f: TestFunction, k: Kernel, params: FunctionalParams) -> EvalRe
     win_vol = dom.window_volume
     tail = b_sup * win_vol * surf * params.polar_h_max ** (-p) / p
     a_growth = growth_constant(k, p)
-    lip = _sampled_lipschitz(u0, spac)
     if a_growth > 0.0 and lip > 0.0:
         if math.isfinite(a_growth) and lip * params.polar_h_min <= 1.0:
             tail += a_growth * (lip ** (p + 1.0)) * params.polar_h_min * win_vol * surf

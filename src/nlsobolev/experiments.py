@@ -158,7 +158,8 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
     ``polar_h_steps``, ``polar_angle_steps``).  ``scheme = "polar"``
     needs a whole-space domain, as ``lambda_polar`` does.  Ratios are
     recorded descriptively whatever their size; acceptance thresholds
-    live in the test suite, not here.
+    live in the test suite, not here.  The metadata's ``certified`` is
+    true when p > 1 and every row's tail_bound is finite.
     """
     ds = _check_deltas(delta_list)
     _require_resolution(f, grid_n, min(ds))
@@ -172,7 +173,7 @@ def delta_sweep(f: TestFunction, k: Kernel, p: float, delta_list, grid_n: int = 
         "p": p,
         "grid_n": grid_n,
         "scheme": scheme,
-        "certified": p > 1,
+        "certified": p > 1 and all(math.isfinite(r.tail_bound) for r in rows),
     }
     if p == 1:
         meta["note"] = "p = 1 exploration mode: values are not calibrated"

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through the console entry point."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -906,6 +907,29 @@ def test_demo_configs(tmp_path, name, sub, status, header):
     assert keys[-3:] == ["peak_rss_mb", "versions", "wall_time_s"]
     assert meta["subcommand"] == sub
     assert 1.0 < meta["peak_rss_mb"] < 1024.0
+
+
+# SHA-256 of each demo config's CSV, recorded with Python 3.11 and numpy 2.4
+# on x86-64: a change that keeps these bytes keeps every value and certificate
+_DEMO_CSV_SHA256 = {
+    "affine_sweep": ("sweep", 0,
+                     "cde3f14a5134fdcc4a52bcc31dd90d11acdcb773fd06ade6d77dee349e242804"),
+    "kappa": ("kappa", 0, "7c41f45745ed530ec1d416d3891c8b45dff580a1eedfbe4415183413e33faad9"),
+    "pathology": ("pathology", 0,
+                  "05cdaf79264bee4e8ccda541ad2d1673462d4fc5923479f995bcade8dc30596c"),
+    "validate_band": ("validate-kernel", 1,
+                      "83ebc1465541739f97a09109db3eef411762fd610abaf100e35c5085cffd977b"),
+}
+
+
+def test_demo_config_csv_bytes(tmp_path, capsys):
+    digests = {}
+    for name, (sub, status, _) in _DEMO_CSV_SHA256.items():
+        out = tmp_path / name
+        assert cli.main([sub, "--config", str(DEMO_CONFIGS / f"{name}.conf"),
+                         "--out", str(out)]) == status, capsys.readouterr().err
+        digests[name] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    assert digests == {name: want for name, (_, _, want) in _DEMO_CSV_SHA256.items()}
 
 
 def test_tabulated_knot_too_near_0_names_its_key(tmp_path):

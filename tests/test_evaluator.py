@@ -628,6 +628,60 @@ def test_diagonal_certificate_infinite_for_step():
     assert math.isinf(res.tail_bound)
 
 
+_ENVELOPE_1D = nl.normalize(nl.envelope_kernel(1, 1, 2.0), 1, 2.0)
+_BUMP_AXIS = np.linspace(-1.0, 1.0, 17)
+_BUMP_R2 = _BUMP_AXIS[:, None] ** 2 + _BUMP_AXIS[None, :] ** 2
+_BUMP_FIELD = nl.grid_function(np.where(_BUMP_R2 < 1.0, (1.0 - _BUMP_R2) ** 2, 0.0),
+                               [-1.0, -1.0], 0.125, flavor="whole-space", padding=0.5)
+
+
+@pytest.mark.parametrize("f, k, delta, n, value, tail", [
+    (nl.sine_function(3.0, 1.0, nl.bounded_box([0.0], [1.0])), _ENVELOPE_1D, 0.1, 256,
+     135.9087327009072, 87.2051531633),
+    (_BUMP_FIELD, nl.normalize(nl.envelope_kernel(1, 1, 2.0), 2, 2.0), 0.5, 48,
+     3.3289510734533287, 26.7931819310),
+])
+def test_pair_diagonal_certificate_reads_the_kinds_lipschitz(f, k, delta, n, value, tail):
+    # midpoint chord slopes read below the kind's constant (18.845 against
+    # 18.850 for the sine); the certificate takes the constant itself, and
+    # the value keeps its bits
+    res = nl.lambda_pair(f, k, nl.FunctionalParams(p=2.0, delta=delta, grid_n=n))
+    _, spac = sample_midpoints(f, n)
+    want = (evaluator._window_bound(f, k, 2.0, delta)
+            + evaluator._diagonal_bound(k, 2.0, delta, f.lipschitz, f.domain.window_volume,
+                                        spac))
+    assert res.tail_bound.hex() == want.hex()
+    assert res.tail_bound == pytest.approx(tail, rel=1e-11)
+    assert res.value.hex() == value.hex()
+
+
+def test_polar_certificate_infinite_across_a_jump():
+    # the continuum integral diverges across the jump (the value climbs
+    # with grid_n), so no finite head term exists
+    f = nl.step_function([0.0, 1.0], [0.0, 1.0, 0.0], nl.whole_space([0.0], [1.0], padding=1.0))
+    res = nl.lambda_polar(f, _ENVELOPE_1D, nl.FunctionalParams(p=2.0, delta=0.1, grid_n=256,
+                                                                polar_h_steps=64))
+    assert math.isinf(res.tail_bound)
+    assert res.value.hex() == (12.485129199754667).hex()
+
+
+def test_each_call_reads_the_lipschitz_constant_once(monkeypatch):
+    reads = []
+    lipschitz = functions.TestFunction.lipschitz
+    monkeypatch.setattr(functions.TestFunction, "lipschitz",
+                        property(lambda self: reads.append(1) or lipschitz.fget(self)))
+    f = nl.windowed_sine(frequency=1.0, amplitude=1.0, padding=1.0)
+    params = nl.FunctionalParams(p=2.0, delta=0.2, grid_n=64, polar_h_steps=16)
+    for k in (_ENVELOPE_1D, nl.normalize(nl.indicator_kernel(), 1, 2.0)):
+        for scheme in (nl.lambda_pair, nl.lambda_polar):
+            reads.clear()
+            scheme(f, k, params)
+            assert len(reads) == 1
+    reads.clear()
+    rows = nl.delta_sweep(f, _ENVELOPE_1D, 2.0, [0.4, 0.2], grid_n=256).rows
+    assert len(reads) == 1 and all(0.0 < r.tail_bound < math.inf for r in rows)
+
+
 def test_mesh_cauchy_for_lipschitz():
     k = nl.normalize(nl.indicator_kernel(), 1, 2.0)
     f = nl.sine_function(1.0, 1.0, nl.bounded_box([0.0], [1.0]))
@@ -869,11 +923,11 @@ def test_polar_support_box_bitwise_equal_dense(case, k, delta, h_min, h_max, h_s
 
 
 def _polar_without_quiet_steps(f, k, params):
-    """lambda_polar with TestFunction.lipschitz read as inf, so no h-step is skipped,
-    and the number of groups that reach _polar_eval_shifted."""
+    """lambda_polar with no quiet h-step, so none is skipped, and the number
+    of groups that reach _polar_eval_shifted."""
     shifted, groups = evaluator._polar_eval_shifted, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functions.TestFunction, "lipschitz", property(lambda self: math.inf))
+        mp.setattr(evaluator, "_quiet_h_steps", lambda *args: 0)
         mp.setattr(evaluator, "_polar_eval_shifted",
                    lambda f_, pts, rect: groups.append(pts.shape[1]) or shifted(f_, pts, rect))
         return nl.lambda_polar(f, k, params), len(groups)
@@ -912,10 +966,7 @@ def test_polar_quiet_h_steps_keep_the_bits(f, k, delta, h_min, h_max, h_steps, a
 
 
 def test_polar_skips_quiet_h_steps_on_a_bump_field(monkeypatch):
-    x = np.linspace(-1.0, 1.0, 17)
-    r2 = x[:, None] ** 2 + x[None, :] ** 2
-    f = nl.grid_function(np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0), [-1.0, -1.0],
-                         0.125, flavor="whole-space", padding=0.5)
+    f = _BUMP_FIELD
     params = nl.FunctionalParams(p=2.0, delta=0.25, grid_n=24, polar_h_steps=100,
                                  polar_angle_steps=8)
     k = nl.normalize(nl.indicator_kernel(), 2, 2.0)

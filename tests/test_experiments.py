@@ -118,6 +118,19 @@ def test_sweep_p1_exploration_marked():
     assert "exploration" in rep.metadata["note"]
 
 
+def test_sweep_certified_only_when_every_tail_is_finite():
+    # across the jump the envelope kernel's growth constant leaves no finite
+    # diagonal certificate, so the run is not certified although p > 1
+    k = nl.normalize(nl.envelope_kernel(1, 1, 2.0), 1, 2.0)
+    rep = nl.delta_sweep(nl.unit_step(), k, 2.0, [0.2, 0.1], grid_n=1024)
+    assert all(math.isinf(row.tail_bound) for row in rep.rows)
+    assert rep.metadata["certified"] is False
+    f = nl.affine_function([1.0], 0.0, nl.bounded_box([0.0], [1.0]))
+    rep = nl.delta_sweep(f, k, 2.0, [0.2, 0.1], grid_n=1024)
+    assert all(math.isfinite(row.tail_bound) for row in rep.rows)
+    assert rep.metadata["certified"] is True
+
+
 def test_sweep_forwards_settings_to_each_delta():
     # every row is the scheme's value at FunctionalParams(p, delta, grid_n, **settings)
     f = nl.windowed_sine(frequency=1.0, amplitude=1.0, padding=1.0)
