@@ -347,8 +347,10 @@ def _run_kappa(cfg, args):
         seed=args.seed)
     cfg.refuse_unread(args.subcommand)
     report = gamma_limit.kappa_estimate(prob)
+    start = time.perf_counter()
     gamma_limit.write_trace_csv(report, args.out + ".csv")
-    return (report.summary(),
+    stages = {**report.stage_s, "trace_write": time.perf_counter() - start}
+    return ({**report.summary(), "stage_s": stages},
             f"kappa kappa_hat={report.kappa_hat:.12g} baseline={report.baseline:.12g} "
             f"proximity={report.final_proximity:.6g}", 0)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import resource
 import sys
 from dataclasses import astuple, dataclass, field, fields
@@ -238,33 +239,41 @@ def step_divergence(p: float, delta: float, n_list) -> GrowthReport:
 
 def format_cell(x) -> str:
     """One numeric CSV cell: 17 significant digits, non-finite or None as INF_TOKEN."""
-    if x is None or not math.isfinite(x):
-        return INF_TOKEN
-    return CSV_DIGITS % x
+    return _csv_cell(x)
 
 
 def _csv_cell(c) -> str:
-    return c if isinstance(c, str) else format_cell(c)
-
-
-def _csv_rows(rows):
-    """Each row as strings.  A cell that is the same object as the previous
-    row's cell in its column reuses that row's string: identity, not ==,
-    since 0.0 == -0.0 and the two print differently."""
-    prev, prev_out = (), []
-    for row in rows:
-        out = [o if c is p else _csv_cell(c) for c, p, o in zip(row, prev, prev_out)]
-        out += map(_csv_cell, row[len(out):])
-        yield out
-        prev, prev_out = row, out
+    """One CSV cell: a string as it is, anything else by format_cell's rule."""
+    if isinstance(c, str):
+        return c
+    return INF_TOKEN if c is None or not math.isfinite(c) else CSV_DIGITS % c
 
 
 def write_csv(path, header, rows):
-    """The one CSV writer: strings go out as they are, numbers through format_cell."""
+    """The one CSV writer: strings go out as they are, numbers by format_cell's rule.
+
+    The lines are streamed.  A row that holds a string goes through
+    ``csv.writer``, which quotes where a string needs it; the cells of any
+    other row are numbers, which never need quoting, so they are joined as
+    they are.  A cell that is the same object as the previous row's cell in
+    its column reuses that row's string: identity, not ==, since 0.0 ==
+    -0.0 and the two print differently.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(_csv_rows(rows))
+        sep, end = w.dialect.delimiter, w.dialect.lineterminator
+        prev, prev_out = (), []
+        for row in rows:
+            out = [o if c is q else _csv_cell(c) for c, q, o in zip(row, prev, prev_out)]
+            if len(out) < len(row):
+                out += map(_csv_cell, row[len(out):])
+            # a string cell is its own output string, and a number never is
+            if any(map(operator.is_, out, row)):
+                w.writerow(out)
+            else:
+                fh.write(sep.join(out) + end)
+            prev, prev_out = row, out
 
 
 def write_sweep_csv(report: SweepReport, path):

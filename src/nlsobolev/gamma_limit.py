@@ -20,14 +20,15 @@ incremental objective updates, which is what makes thousands of
 iterations affordable on top of an O(n^2) functional.  Under a 0/1
 kernel a move touches only the cells whose count changes: the search
 keeps a sorted copy of v, where those cells are a few runs found by
-bisection, and their weights are summed in a zero array shaped like v
-by the same reduction as the dense update, so the gains keep their bits
-(``_PairObjective``).
+bisection, and their weights are summed in a fresh zero array of v's
+cells by the same reduction as the dense update, so the gains keep their
+bits (``_PairObjective``).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -99,6 +100,9 @@ class KappaReport:
     trace: list = field(default_factory=list)   # (iteration, best objective, best proximity)
     best_values: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    # seconds in the full evaluations and in the proposal loops: the run's
+    # record, not a result, so reruns differ here alone
+    stage_s: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         return {
@@ -163,11 +167,15 @@ class _PairObjective:
     ``accept``.  The cells that a centre x counts have fl(v_j - x) in
     (-hi, -lo] or [lo, hi), and fl(v_j - x) is nondecreasing in v_j, so
     they are two runs of the sorted order with four edges (``_edges``).
-    A move old -> new changes a cell's term only between an edge for old
-    and the same edge for new, so ``gain`` writes +-w[|j - c|] for those
-    cells alone into a zero array shaped like v.  That array holds the
-    values of the dense ``diff * wrow``, and the same ``.sum()`` adds them,
-    so every gain keeps its bits.
+    Only the edges at finite cuts move with x: two for the indicator, whose
+    outer edges are the ends of the sorted order, and four for the band
+    (``_moving``).  A move old -> new changes a cell's term only between an
+    edge for old and the same edge for new, so ``gain`` writes +-w[|j - c|]
+    for those cells alone into a fresh zero array of v's cells in C order.
+    That array holds the values of the dense ``diff * wrow``, and
+    ``np.add.reduce`` adds them as ``.sum()`` adds the dense product, whose
+    reduction over every axis runs over its C-ordered data, so every gain
+    keeps its bits.
     """
 
     def __init__(self, k: Kernel, p: float, delta: float, spacings, shape):
@@ -175,6 +183,7 @@ class _PairObjective:
         self.spacings = spacings
         self.factor = k.scale_c * delta ** p
         self.terms = _KernelTerms(k, delta)
+        self.full_s = 0.0       # seconds spent in ``full``
         # the lag weights reflected per axis, wr[n - 1 + j] = w[|j|]: the weights
         # a move at c applies are the view wr[n - 1 - c : 2n - 1 - c]
         self.wr = _lag_weights(shape, spacings, p)[
@@ -189,11 +198,15 @@ class _PairObjective:
             self.offset = cells + cells // shape[-1] * (shape[-1] - 1)
             self.wflat = self.wr.reshape(-1)
             self.wneg = -self.wflat
-            self.scratch = np.zeros(shape)
-            self.scratch_flat = self.scratch.reshape(-1)
+            self.half = self.wflat.size // 2        # base(c) = half - offset[c]
+            # the edges that move, with what crossing them does (_OPENS)
+            self.opens = _OPENS if self.cuts[1] is not None else _OPENS[1:3]
 
     def full(self, v: np.ndarray) -> float:
-        return pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta)
+        start = time.perf_counter()
+        value = pair_sum_on_samples(v, self.spacings, self.k, self.p, self.delta)
+        self.full_s += time.perf_counter() - start
+        return value
 
     def move_delta(self, v: np.ndarray, where, old: float, new: float) -> float:
         """Objective change when v[where] goes old -> new; ``where`` is an index tuple."""
@@ -216,25 +229,37 @@ class _PairObjective:
     def _edges(self, x: float):
         """Sorted positions (a, b, c, d) with sorted[a:b] and sorted[c:d] the
         cells counted against centre x: fl(v - x) in (-hi, -lo] and [lo, hi)."""
+        edges = self._moving(x)
+        return edges if len(edges) == 4 else (0, *edges, len(self.vals))
+
+    def _moving(self, x: float):
+        """The edges of ``_edges`` at finite cuts: (b, c) for the indicator,
+        whose a and d are the ends of the sorted order, and (a, b, c, d)
+        for the band."""
         vals, (lo, hi) = self.vals, self.cuts
-        return (0 if hi is None else _first_past(vals, x, -hi, True),
-                _first_past(vals, x, -lo, True), _first_past(vals, x, lo, False),
-                len(vals) if hi is None else _first_past(vals, x, hi, False))
+        inner = _first_past(vals, x, -lo, True), _first_past(vals, x, lo, False)
+        if hi is None:
+            return inner
+        return _first_past(vals, x, -hi, True), *inner, _first_past(vals, x, hi, False)
 
     def gain(self, v: np.ndarray, flat: int, old: float, new: float) -> float:
         """``move_delta`` of the move v.flat[flat]: old -> new, with the same bits.
 
-        Under a 0/1 kernel it reads the sorted copy, which must hold v.
+        Under a 0/1 kernel it reads the sorted copy, which must hold v, and
+        writes +-w[|j - c|] for the changed cells into a fresh zero array of
+        v's cells in C order, which ``np.add.reduce`` adds.
         """
         if self.cuts is not None:
             if self.centre != old:      # both signs of a proposal share old's edges
-                self.centre, self.centre_edges = old, self._edges(old)
-            runs, end = [], 0
+                self.centre, self.centre_edges = old, self._moving(old)
+            base = self.half - self.offset.item(flat)
+            order, offs = self.order, self.offs
+            diff, end = np.zeros(self.offset.size), 0      # v's cells in C order
             # a cell between an edge for old and the same edge for new changes its
             # term by +-1: + where the new count holds it and the old one does not.
             # The runs come in order, and two overlap only when the move passes a
             # whole cut width: the dense move then gives each cell its net term
-            for k0, k1, opens in zip(self.centre_edges, self._edges(new), _OPENS):
+            for k0, k1, opens in zip(self.centre_edges, self._moving(new), self.opens):
                 if k1 < k0:
                     i, j, plus = k1, k0, opens
                 elif k0 < k1:
@@ -243,27 +268,14 @@ class _PairObjective:
                     continue
                 if i < end:
                     break
-                runs.append((i, j, plus))
+                w = (self.wflat if plus else self.wneg)[base:]     # w[offset[j]] = +-w[|j - c|]
+                cells = order[i:j]          # in 1-D a cell's offset is its index
+                diff[cells] = w[cells if offs is order else offs[i:j]]
                 end = j
             else:
-                return self._scatter_sum(flat, runs)
+                return self.factor * float(np.add.reduce(diff))
         where = (flat,) if v.ndim == 1 else divmod(flat, v.shape[1])
         return self.move_delta(v, where, old, new)
-
-    def _scatter_sum(self, flat: int, runs) -> float:
-        """The gain of a move at ``flat`` whose changed cells are the sorted
-        runs (i, j, plus): +-w[|j - c|] in the zero scratch array, summed,
-        then zeroed again."""
-        base = self.wflat.size // 2 - self.offset[flat]
-        cells = []
-        for i, j, plus in runs:
-            w = (self.wflat if plus else self.wneg)[base:]     # w[offset[j]] = +-w[|j - c|]
-            cells.append(self.order[i:j])
-            self.scratch_flat[cells[-1]] = w[self.offs[i:j]]
-        total = self.scratch.sum()
-        for c in cells:
-            self.scratch_flat[c] = 0.0
-        return self.factor * float(total)
 
     def accept(self, v: np.ndarray, flat: int, new: float):
         """Apply the move v.flat[flat] -> new, keeping the sorted copy sorted."""
@@ -324,6 +336,11 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     trace = [(0, best_obj, best_prox)]
     flat_n = u_ref.size
     it_global = evaluated = accepted_moves = 0
+    moves_s = 0.0
+    # the proposal loop's lookups, bound once; the RNG calls keep their order
+    p, inv_p, iterations = prob.p, 1.0 / prob.p, prob.iterations
+    integers, uniform, ref_at = rng.integers, rng.random, u_ref.item
+    gain_of, accept, record = obj.gain, obj.accept, trace.append
 
     for restart in range(prob.restarts):
         if restart == 0:
@@ -337,32 +354,34 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
                 pert *= 0.5 * eps / pnorm
             v = u_ref + pert
             s = obj.full(v)
-            prox_pow = float(np.sum(np.abs(v - u_ref) ** prob.p) * cell_vol)
+            prox_pow = float(np.sum(np.abs(v - u_ref) ** p) * cell_vol)
         obj.start(v)
         step = prob.delta
         fails = 0
+        value_at = v.item
+        start = time.perf_counter()
 
-        for _ in range(prob.iterations):
+        for _ in range(iterations):
             it_global += 1
-            flat = int(rng.integers(flat_n))
-            old, ref = v.item(flat), u_ref.item(flat)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
+            flat = int(integers(flat_n))
+            old, ref = value_at(flat), ref_at(flat)
+            sign = 1.0 if uniform() < 0.5 else -1.0
             accepted = False
             # clip the move so the proximity ball stays satisfied
-            without = prox_pow - cell_vol * abs(old - ref) ** prob.p
+            without = prox_pow - cell_vol * abs(old - ref) ** p
             room = max(0.0, eps_pow - max(without, 0.0))
-            radius = (room / cell_vol) ** (1.0 / prob.p) * (1.0 - 1e-12)
+            radius = (room / cell_vol) ** inv_p * (1.0 - 1e-12)
             for sgn in (sign, -sign):
                 cand = min(max(old + sgn * step, ref - radius), ref + radius)
                 if cand == old:
                     continue
-                gain = obj.gain(v, flat, old, cand)
+                gain = gain_of(v, flat, old, cand)
                 evaluated += 1
                 if s + gain < s:
-                    obj.accept(v, flat, cand)
+                    accept(v, flat, cand)
                     accepted_moves += 1
                     s += gain
-                    prox_pow = max(without, 0.0) + cell_vol * abs(cand - ref) ** prob.p
+                    prox_pow = max(without, 0.0) + cell_vol * abs(cand - ref) ** p
                     accepted = True
                     break
             if accepted:
@@ -370,13 +389,14 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
                 if s < best_obj:
                     best_obj = s
                     best_v = v.copy()
-                    best_prox = (max(prox_pow, 0.0)) ** (1.0 / prob.p)
+                    best_prox = (max(prox_pow, 0.0)) ** inv_p
             else:
                 fails += 1
                 if fails >= _PATIENCE:
                     step = max(step * _STEP_SHRINK, prob.delta * 1e-4)
                     fails = 0
-            trace.append((it_global, best_obj, best_prox))
+            record((it_global, best_obj, best_prox))
+        moves_s += time.perf_counter() - start
 
     kappa_hat = obj.full(best_v)
     final_prox = discrete_lp_norm(best_v - u_ref, cell_vol, prob.p)
@@ -399,7 +419,8 @@ def kappa_estimate(prob: KappaProblem) -> KappaReport:
     }
     return KappaReport(kappa_hat=kappa_hat, baseline=baseline, epsilon=eps,
                        final_proximity=final_prox, seed=prob.seed, trace=trace,
-                       best_values=best_v, metadata=meta)
+                       best_values=best_v, metadata=meta,
+                       stage_s={"full_eval": obj.full_s, "moves": moves_s})
 
 
 def write_trace_csv(report: KappaReport, path):

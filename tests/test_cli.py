@@ -216,6 +216,12 @@ kappa.restarts = 2
     rows = (tmp_path / "k1.csv").read_text().split()
     assert meta["running_drift"] == (abs(float(rows[-1].split(",")[1]) - meta["kappa_hat"])
                                      / meta["kappa_hat"])
+    # where the time went: full evaluations, moves and the trace write, all
+    # inside the run's wall time
+    stages = meta["stage_s"]
+    assert sorted(stages) == ["full_eval", "moves", "trace_write"]
+    assert all(math.isfinite(s) and s >= 0.0 for s in stages.values())
+    assert sum(stages.values()) <= meta["wall_time_s"]
 
 
 def test_cross_check_subcommand(tmp_path):

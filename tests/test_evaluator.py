@@ -458,6 +458,53 @@ def test_windowed_moves_need_finite_weights():
     assert math.isnan(obj.move_delta(v, (3,), 3.0, 0.0))
 
 
+# ----------------------------------------------------------------------
+# the 1-D traversal in lag blocks: the bits of one lag at a time
+# ----------------------------------------------------------------------
+
+def _lag_sums_1d_per_lag(u, terms):
+    """The 1-D lag sums one lag at a time, each lag's |du| in its own array."""
+    n = u.size
+    sums = np.empty((len(terms), n - 1))
+    for m in range(1, n):
+        d = np.abs(u[m:] - u[:n - m])
+        for t, s in zip(terms, sums):
+            s[m - 1] = t.sum(d)
+    return sums
+
+
+_BLOCK_1D = 60      # lag blocks of at most 60 |du| values: many rows, and many blocks
+# n at 2 and 3, and where a block of lags starting at lag 1 holds r rows of
+# n - 1 cells: one row on either side of the widths that fill it exactly
+_ROW_EDGES = sorted({2, 3} | {_BLOCK_1D // r + 1 + e for r in (1, 2, 3, 4, 6) for e in (-1, 0, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=_ALL_KERNELS, lattice=_LATTICE, factors=_DELTA_FACTORS,
+       n=st.sampled_from(_ROW_EDGES), block=st.sampled_from([_BLOCK_1D, evaluator._LAG_BLOCK]),
+       extremes=st.lists(st.tuples(st.integers(0, 2 ** 16), st.sampled_from(_EXTREMES)),
+                         max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_lag_blocks_bitwise_equal_one_lag_at_a_time(k, lattice, factors, n, block, extremes,
+                                                    seed):
+    # lattice samples have ties, and |du| / delta on the cut edges; signed
+    # zeros, subnormals and +-1e305 go in at random cells.  A zero-padded cell
+    # of a block row is |u[i]|, which the kernels count or weigh: a padded
+    # cell that leaked into a lag's count or sum would change its bits
+    q, r = lattice
+    u = np.random.default_rng(seed).integers(-6, 7, size=n) * q
+    for cell, x in extremes:
+        u[cell % n] = x
+    terms = [evaluator._KernelTerms(k, q * r * f) for f in factors]
+    with np.errstate(over="ignore", invalid="ignore"):     # as inside pair_sum_on_samples
+        want = _lag_sums_1d_per_lag(u, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_LAG_BLOCK", block)
+            got = evaluator._lag_sums_1d(u, terms)
+    assert got.shape == want.shape
+    assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
+
+
 _EDGES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False,
                    allow_infinity=False, allow_subnormal=True)
 _DELTAS = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,

@@ -10,7 +10,7 @@ from scipy import integrate
 
 import nlsobolev as nl
 from nlsobolev.errors import ParameterError, ResolutionError
-from nlsobolev.experiments import INF_TOKEN, format_cell
+from nlsobolev.experiments import INF_TOKEN, _csv_cell, format_cell
 
 
 def _affine_setup():
@@ -272,6 +272,30 @@ def test_csv_repeated_cells_write_the_bytes_of_the_per_cell_form(tmp_path):
             w.writerow([c if isinstance(c, str) else format_cell(c) for c in row])
     assert path.read_bytes() == want.read_bytes()
     assert b"\n2,-0,0.33333333333333331,b\r\n" in path.read_bytes()
+
+
+def test_csv_streamed_lines_write_the_bytes_of_csv_writer(tmp_path):
+    # rows of numbers are joined directly and rows with a string go through
+    # csv.writer: the bytes are those of csv.writer on every cell
+    zero, nzero = 0.0, -0.0
+    other_zero, other_nzero = float("0"), float("-0")      # equal, but other objects
+    rows = [("a,b", 1.5, 2), ('say "x"', None, math.inf), ("two\nlines", -math.inf, math.nan),
+            ("", 0.0, -0.0), ("",), (zero, nzero, 3), (zero, nzero, 3),
+            (other_zero, other_nzero, 3),
+            (10 ** 17, 12345678901234567, -(10 ** 18)), (np.float64(0.1), np.int64(2 ** 62), 7),
+            (np.float64(0.1), None, "tail"), (1.0, math.inf, math.nan), (), ("x", zero, "y")]
+    header = ["s", "a", "b"]
+    path = tmp_path / "mixed.csv"
+    nl.write_csv(path, header, (row for row in rows))     # a one-shot generator
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_csv_cell(c) for c in row] for row in rows)
+    assert path.read_bytes() == want.read_bytes()
+    text = path.read_bytes()
+    assert b'"a,b",1.5,2\r\n"say ""x""",inf-flag,inf-flag\r\n"two\nlines"' in text
+    assert b'\r\n""\r\n0,-0,3\r\n0,-0,3\r\n0,-0,3\r\n1e+17,12345678901234568,-1e+18\r\n' in text
 
 
 def test_growth_csv(tmp_path):
